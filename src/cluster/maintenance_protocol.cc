@@ -67,6 +67,7 @@ class MaintNode : public proto::ProtocolNode {
         ForwardPushToChildren(m);
         StartDetach();
       } else {
+        RebaseVerified();
         ForwardPushToChildren(m);
       }
     });
@@ -196,12 +197,14 @@ class MaintNode : public proto::ProtocolNode {
       root_ = static_cast<int>(m.root);
       stored_root_ = m.feature;
       for (int child : children_) Send(child, m);
-      if (!probing_ &&
-          Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
+      if (probing_) return;
+      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
         // The relabel (attach echo, or a subtree re-root racing our own
         // update) put us out of range of the authoritative root feature:
         // evict ourselves exactly as a Push carrying it would have.
         StartDetach();
+      } else {
+        RebaseVerified();
       }
     });
   }
@@ -358,6 +361,18 @@ class MaintNode : public proto::ProtocolNode {
   }
   double Dist(const Feature& a, const Feature& b) const {
     return ctx_->metric->Distance(a, b);
+  }
+
+  /// A new stored root feature arrived and the current feature was found
+  /// within delta of it.  LocalUpdate's A1/A2 absorb an update by comparing
+  /// it with verified_, which is sound only while verified_ itself is within
+  /// delta of stored_root_; a root push that moves stored_root_ away from a
+  /// stale verified_ (a fire front shifts root and members alike) would let
+  /// A1/A2 absorb a later update that is out of range.  Under churn the
+  /// checked feature becomes the new base.  Churn-free sessions keep the
+  /// legacy rule so their runs stay bit-identical.
+  void RebaseVerified() {
+    if (ctx_->churn_aware) verified_ = feature_;
   }
 
   void RootUpdate() {

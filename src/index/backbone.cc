@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <set>
+#include <tuple>
+
+#include "sim/graph.h"
 
 namespace elink {
 
@@ -38,11 +43,7 @@ Backbone Backbone::Build(const Clustering& clustering,
     }
   }
 
-  // Hop tables per leader (used for backbone link costs).
-  for (int leader : bb.leaders_) {
-    bb.hops_from_leader_[leader] = HopDistancesFrom(adjacency, leader);
-    bb.tree_children_[leader] = {};
-  }
+  for (int leader : bb.leaders_) bb.tree_children_[leader] = {};
 
   if (features != nullptr && metric != nullptr && bb.leaders_.size() > 1) {
     // Feature-aware tree: root at the leader medoid, then Prim's algorithm
@@ -62,28 +63,33 @@ Backbone Backbone::Build(const Clustering& clustering,
       }
     }
     bb.tree_root_ = root;
-    bb.tree_parent_[root] = root;
-    std::set<int> visited{root};
-    while (visited.size() < bb.leaders_.size()) {
-      // Cheapest cluster-graph edge from the tree to an unvisited leader.
-      double best_w = 1e300;
-      int best_from = -1, best_to = -1;
-      for (int in : visited) {
-        for (int out : cluster_adj[in]) {
-          if (visited.count(out)) continue;
-          const double w =
-              metric->Distance((*features)[in], (*features)[out]);
-          if (w < best_w || (w == best_w && out < best_to)) {
-            best_w = w;
-            best_from = in;
-            best_to = out;
-          }
-        }
+    bb.parent_link_[root].parent = root;
+    // Each step adds the cheapest cluster-graph edge from the tree to an
+    // unvisited leader, ties broken by the smaller new leader, then by the
+    // smaller tree-side leader: a lazy min-heap keyed (weight, to, from),
+    // whose entries into already-visited leaders are skipped when popped.
+    using Candidate = std::tuple<double, int, int>;
+    std::priority_queue<Candidate, std::vector<Candidate>,
+                        std::greater<Candidate>>
+        heap;
+    std::set<int> visited;
+    auto visit = [&](int in) {
+      visited.insert(in);
+      for (int out : cluster_adj[in]) {
+        if (visited.count(out)) continue;
+        heap.emplace(metric->Distance((*features)[in], (*features)[out]), out,
+                     in);
       }
-      ELINK_CHECK(best_to >= 0);  // Cluster graph is connected.
-      bb.tree_parent_[best_to] = best_from;
-      bb.tree_children_[best_from].push_back(best_to);
-      visited.insert(best_to);
+    };
+    visit(root);
+    while (visited.size() < bb.leaders_.size()) {
+      ELINK_CHECK(!heap.empty());  // Cluster graph is connected.
+      const auto [w, to, from] = heap.top();
+      heap.pop();
+      if (visited.count(to)) continue;
+      bb.parent_link_[to].parent = from;
+      bb.tree_children_[from].push_back(to);
+      visit(to);
     }
     for (auto& [leader, kids] : bb.tree_children_) {
       (void)leader;
@@ -92,7 +98,7 @@ Backbone Backbone::Build(const Clustering& clustering,
   } else {
     // BFS spanning tree over the cluster graph from the smallest leader id.
     bb.tree_root_ = bb.leaders_.front();
-    bb.tree_parent_[bb.tree_root_] = bb.tree_root_;
+    bb.parent_link_[bb.tree_root_].parent = bb.tree_root_;
     std::deque<int> queue{bb.tree_root_};
     std::set<int> visited{bb.tree_root_};
     while (!queue.empty()) {
@@ -100,7 +106,7 @@ Backbone Backbone::Build(const Clustering& clustering,
       queue.pop_front();
       for (int nb : cluster_adj[cur]) {
         if (visited.insert(nb).second) {
-          bb.tree_parent_[nb] = cur;
+          bb.parent_link_[nb].parent = cur;
           bb.tree_children_[cur].push_back(nb);
           queue.push_back(nb);
         }
@@ -110,10 +116,15 @@ Backbone Backbone::Build(const Clustering& clustering,
     ELINK_CHECK(visited.size() == bb.leaders_.size());
   }
 
+  // Each tree edge's link cost: a BFS from the leader that stops as soon as
+  // it reaches the parent.
   for (int leader : bb.leaders_) {
-    const int parent = bb.tree_parent_[leader];
-    if (parent != leader) {
-      const int hops = bb.route_hops(leader, parent);
+    ParentLink& link = bb.parent_link_[leader];
+    if (link.parent != leader) {
+      ResumableBfs bfs(n, leader);
+      ELINK_CHECK(bfs.Expand(adjacency, {}, link.parent));
+      const int hops = bfs.HopsToRoot(link.parent);
+      link.hops = hops;
       bb.total_tree_hops_ += hops;
       if (build_stats != nullptr) {
         // Tree agreement: each leader notifies its chosen parent.
@@ -145,11 +156,12 @@ Backbone Backbone::Build(const Clustering& clustering,
 
 int Backbone::route_hops(int leader_a, int leader_b) const {
   if (leader_a == leader_b) return 0;
-  const auto it = hops_from_leader_.find(leader_a);
-  ELINK_CHECK(it != hops_from_leader_.end());
-  const int hops = it->second[leader_b];
-  ELINK_CHECK(hops > 0);
-  return hops;
+  // Each tree edge is stored once, with its child end.
+  const ParentLink& a = parent_link_.at(leader_a);
+  if (a.parent == leader_b) return a.hops;
+  const ParentLink& b = parent_link_.at(leader_b);
+  ELINK_CHECK(b.parent == leader_a);  // Tree-adjacent leaders only.
+  return b.hops;
 }
 
 }  // namespace elink

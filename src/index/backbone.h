@@ -43,7 +43,7 @@ class Backbone {
 
   /// Parent of a leader in the backbone tree (the tree root's parent is
   /// itself).  Only valid for leader ids.
-  int tree_parent(int leader) const { return tree_parent_.at(leader); }
+  int tree_parent(int leader) const { return parent_link_.at(leader).parent; }
 
   /// Children of a leader in the backbone tree, ascending.
   const std::vector<int>& tree_children(int leader) const {
@@ -53,8 +53,10 @@ class Backbone {
   /// The leader whose cluster graph BFS rooted the tree.
   int tree_root() const { return tree_root_; }
 
-  /// Communication-graph hop distance between two leaders (how many
-  /// transmissions one backbone-link traversal costs).
+  /// Communication-graph hop distance between two tree-adjacent leaders
+  /// (how many transmissions one backbone-link traversal costs); 0 when they
+  /// are the same leader.  Only backbone tree edges are stored: any other
+  /// pair is a CHECK failure.
   int route_hops(int leader_a, int leader_b) const;
 
   /// Sum of route_hops over all backbone tree edges (independent
@@ -73,13 +75,17 @@ class Backbone {
   Backbone() = default;
 
   std::vector<int> leaders_;
-  std::map<int, int> tree_parent_;
   std::map<int, std::vector<int>> tree_children_;
   int tree_root_ = -1;
   int total_tree_hops_ = 0;
   int flood_hops_ = 0;
-  // Hop distances from each leader to every node (for route_hops).
-  std::map<int, std::vector<int>> hops_from_leader_;
+  // Each leader's tree parent (the root's is itself) and the hop count of
+  // the backbone link to it (0 at the root).
+  struct ParentLink {
+    int parent = -1;
+    int hops = 0;
+  };
+  std::map<int, ParentLink> parent_link_;
 };
 
 }  // namespace elink

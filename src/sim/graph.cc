@@ -113,6 +113,39 @@ std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst) {
   return path;
 }
 
+ResumableBfs::ResumableBfs(int num_nodes, int root)
+    : root_(root), parent_(num_nodes, -1), frontier_{root} {
+  parent_[root] = root;
+}
+
+bool ResumableBfs::Expand(const AdjacencyList& adj,
+                          const std::vector<char>& absent, int target) {
+  const bool masked = !absent.empty();
+  while (parent_[target] < 0 && head_ < frontier_.size()) {
+    const int u = frontier_[head_++];
+    // Only the root can be an absent node on the frontier.
+    if (masked && absent[u]) continue;
+    for (int v : adj[u]) {
+      if (parent_[v] < 0 && !(masked && absent[v])) {
+        parent_[v] = u;
+        frontier_.push_back(v);
+      }
+    }
+  }
+  if (head_ == frontier_.size() && !frontier_.empty()) {
+    std::vector<int>().swap(frontier_);
+    head_ = 0;
+  }
+  return parent_[target] >= 0;
+}
+
+int ResumableBfs::HopsToRoot(int node) const {
+  if (parent_[node] < 0) return -1;
+  int hops = 0;
+  for (int cur = node; cur != root_; cur = parent_[cur]) ++hops;
+  return hops;
+}
+
 RoutingTable::RoutingTable(const AdjacencyList& adj, int root)
     : root_(root),
       dist_(HopDistancesFrom(adj, root)),

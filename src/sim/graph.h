@@ -40,6 +40,41 @@ bool IsInducedConnected(const AdjacencyList& adj,
 /// empty when unreachable.
 std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst);
 
+/// \brief A BFS from `root` that expands only as far as the questions asked
+/// of it need, and resumes where it stopped on the next question.
+///
+/// Expand pops whole nodes in FIFO order and scans each one's full neighbor
+/// list in adjacency order, so every parent is fixed at discovery and equals
+/// BfsTreeParents(adj, root)'s: a path never depends on how far, or in how
+/// many steps, the search was expanded.  Nodes flagged in `absent` (when it
+/// is non-empty) are neither discovered nor relayed through, as if they and
+/// their edges were removed from `adj`.  Every call on one object must pass
+/// the same adjacency and mask; rebuild the BFS when either changes.
+class ResumableBfs {
+ public:
+  ResumableBfs(int num_nodes, int root);
+
+  /// Expands until `target` is discovered or the frontier is exhausted (the
+  /// frontier's memory is released then).  True when `target` is reachable.
+  bool Expand(const AdjacencyList& adj, const std::vector<char>& absent,
+              int target);
+
+  /// BFS-tree parent of a discovered node (the root's parent is itself);
+  /// -1 while undiscovered.
+  int parent(int node) const { return parent_[node]; }
+
+  /// Hop count from a discovered `node` to the root (the length of its
+  /// parent walk); -1 while undiscovered.
+  int HopsToRoot(int node) const;
+
+ private:
+  int root_;
+  std::vector<int> parent_;
+  // FIFO of discovered nodes; [head_, size) are still to be scanned.
+  std::vector<int> frontier_;
+  size_t head_ = 0;
+};
+
 /// \brief Precomputed single-source BFS answers for repeated routing to/from
 /// one node (e.g. the base station of the centralized baseline).
 class RoutingTable {

@@ -44,7 +44,7 @@ Network::Network(Topology topology, Config config)
       churn_(config_.churn, topology_.num_nodes()),
       restart_gen_(topology_.num_nodes(), 0),
       nodes_(topology_.num_nodes()),
-      routing_tables_(topology_.num_nodes()) {
+      routes_(topology_.num_nodes()) {
   ELINK_CHECK(config_.async_delay_min > 0.0);
   ELINK_CHECK(config_.async_delay_max >= config_.async_delay_min);
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
@@ -105,13 +105,13 @@ void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
     case Event::kRepair:
       // The absence set changed, so cached routes (which must not relay
       // through absent nodes) are stale.
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
+      InvalidateRoutes();
       RestartNode(ev.a);
       NotifyNeighbors(ev.a, /*up=*/true);
       break;
     case Event::kLeave:
     case Event::kCrash:
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
+      InvalidateRoutes();
       NotifyNeighbors(ev.a, /*up=*/false);
       break;
     case Event::kLinkAdd:
@@ -128,8 +128,8 @@ void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
       edit(&live_adjacency_[ev.a], ev.b);
       edit(&live_adjacency_[ev.b], ev.a);
       // Routed paths must not cross a removed edge (or miss a shortcut), so
-      // every cached table is rebuilt on demand from the edited adjacency.
-      for (std::unique_ptr<RoutingTable>& t : routing_tables_) t.reset();
+      // every cached route is rebuilt on demand from the edited adjacency.
+      InvalidateRoutes();
       if (!churn_.IsAbsent(ev.a, Now()) && nodes_[ev.a] != nullptr) {
         nodes_[ev.a]->OnNeighborChange(ev.b, add);
       }
@@ -426,27 +426,30 @@ void Network::Broadcast(int from, Message msg) {
   }
 }
 
-const RoutingTable& Network::TableFor(int root) {
-  std::unique_ptr<RoutingTable>& slot = routing_tables_[root];
-  if (slot == nullptr) {
-    if (!churn_.enabled()) {
-      slot = std::make_unique<RoutingTable>(topology_.adjacency, root);
-    } else {
-      // Routes must not relay through churn-absent nodes: an absent relay
-      // sinks every frame that crosses it, so a path "through" one is no
-      // path at all.  Build over the live links between present nodes; the
-      // table cache is invalidated on every churn event (link or node).
-      AdjacencyList live(live_adjacency_.size());
-      for (int u = 0; u < static_cast<int>(live_adjacency_.size()); ++u) {
-        if (churn_.IsAbsent(u, Now())) continue;
-        for (int v : live_adjacency_[u]) {
-          if (!churn_.IsAbsent(v, Now())) live[u].push_back(v);
-        }
-      }
-      slot = std::make_unique<RoutingTable>(live, root);
+void Network::InvalidateRoutes() {
+  for (std::unique_ptr<ResumableBfs>& r : routes_) r.reset();
+  route_absent_stale_ = true;
+}
+
+const ResumableBfs& Network::TableFor(int to, int from) {
+  if (churn_.enabled() && route_absent_stale_) {
+    // Routes must not relay through churn-absent nodes: an absent relay
+    // sinks every frame that crosses it, so a path "through" one is no path
+    // at all.  Absence only changes at churn events, each of which marks
+    // the mask stale, so one evaluation serves the whole epoch.
+    route_absent_.assign(num_nodes(), 0);
+    for (int u = 0; u < num_nodes(); ++u) {
+      route_absent_[u] = churn_.IsAbsent(u, Now()) ? 1 : 0;
     }
+    route_absent_stale_ = false;
   }
-  return *slot;
+  std::unique_ptr<ResumableBfs>& route = routes_[to];
+  if (route == nullptr) {
+    route = std::make_unique<ResumableBfs>(num_nodes(), to);
+  }
+  route->Expand(churn_.enabled() ? live_adjacency_ : topology_.adjacency,
+                route_absent_, from);
+  return *route;
 }
 
 int Network::SendRouted(int from, int to, Message msg) {
@@ -463,12 +466,13 @@ int Network::SendRouted(int from, int to, Message msg) {
     ScheduleDelivery(0.0, from, to, std::move(msg), mid);
     return 0;
   }
-  const RoutingTable& table = TableFor(to);
-  const int hops = table.HopsToRoot(from);
-  if (churn_.enabled() && hops <= 0) {
-    // Churn link removals can partition the live graph; a routed message
-    // with no path is lost (and charged once, like any other lost frame).
-    ++churn_drops_;
+  const ResumableBfs& route = TableFor(to, from);
+  const int hops = route.HopsToRoot(from);
+  if (hops < 0) {
+    // No path: the deployment is disconnected, or churn partitioned the live
+    // graph.  The message is lost and charged once, like any other lost
+    // frame; only churn runs count it as a churn drop.
+    if (churn_.enabled()) ++churn_drops_;
     stats_.RecordDropped(msg.category, msg.CostUnits(), FrameBytes(msg));
     if (observer_ != nullptr) {
       observer_->OnCausal({0, NewCauseId(), queue_.active_cause()});
@@ -476,7 +480,6 @@ int Network::SendRouted(int from, int to, Message msg) {
     }
     return 0;
   }
-  ELINK_CHECK(hops > 0);  // Connected networks only.
   // End-to-end payload corruption: one truncation decision per routed
   // message, drawn before the per-hop loss draws.
   if (fault_.enabled()) MaybeTruncate(&msg);
@@ -501,14 +504,14 @@ int Network::SendRouted(int from, int to, Message msg) {
   int cur = from;
   int prev = from;
   while (cur != to) {
-    const int next = table.NextHopToRoot(cur);
+    const int next = route.parent(cur);
     const double hop_delay = NextHopDelay();
     const bool fault_drop =
         fault_.enabled() &&
         (fault_.IsCrashed(cur, Now() + delay) ||
          fault_.DropTransmission(cur, next, Now() + delay) ||
          fault_.IsCrashed(next, Now() + delay + hop_delay));
-    // The routing table reflects live links at send time, so only endpoint
+    // The route reflects live links at send time, so only endpoint
     // absence (at the hop's own instants) can sink a hop here.
     const bool churn_drop =
         churn_.enabled() &&
@@ -543,7 +546,7 @@ int Network::SendRouted(int from, int to, Message msg) {
 
 int Network::HopDistance(int from, int to) {
   if (from == to) return 0;
-  return TableFor(to).HopsToRoot(from);
+  return TableFor(to, from).HopsToRoot(from);
 }
 
 void Network::SetTimer(int id, double delay, int timer_id) {

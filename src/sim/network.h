@@ -159,10 +159,14 @@ class Network {
   /// like a Send.  Used for quadtree parent/child signalling and query
   /// routing, whose endpoints need not be radio neighbors.
   /// Returns the number of hops traveled (0 for from == to, in which case
-  /// the message is delivered locally after zero delay).
+  /// the message is delivered locally after zero delay).  Under churn the
+  /// path runs over live links between present nodes.  With no path at all
+  /// (a disconnected deployment, or a churn-partitioned live graph) the
+  /// message is charged once as a dropped send and 0 is returned.
   int SendRouted(int from, int to, Message msg);
 
-  /// Hop distance between two nodes (shortest path; -1 if disconnected).
+  /// Hop distance between two nodes along the path SendRouted would take
+  /// right now; -1 if there is none.
   int HopDistance(int from, int to);
 
   /// Schedules HandleTimer(timer_id) on node `id` after `delay`.
@@ -253,12 +257,17 @@ class Network {
 
  private:
   double NextHopDelay();
-  const RoutingTable& TableFor(int root);
+  /// The routing BFS towards `to`, expanded until `from` is discovered (or
+  /// found unreachable).  Its parents are the next hops towards `to`.
+  const ResumableBfs& TableFor(int to, int from);
+  /// Drops every routing BFS and the absence mask they share; called on
+  /// every churn event.
+  void InvalidateRoutes();
   /// True when (from, to) is an edge of the *current* (churn-edited)
   /// adjacency.  Only meaningful while churn is enabled.
   bool HasLiveEdge(int from, int to) const;
   /// Applies one scheduled churn event: restarts/notifies nodes, edits the
-  /// live adjacency, invalidates routing tables, reports to the observer.
+  /// live adjacency, invalidates routes, reports to the observer.
   void ApplyChurnEvent(const ChurnSchedule::Event& ev);
   /// Bumps `node`'s restart generation (orphaning its pending timers) and
   /// invokes Node::OnRestart.
@@ -326,9 +335,15 @@ class Network {
   MessageStats stats_;
   SimObserver* observer_ = nullptr;
   bool hit_event_cap_ = false;
-  // Lazily built per-destination routing tables for SendRouted/HopDistance,
-  // indexed by destination node id (built at most once per destination).
-  std::vector<std::unique_ptr<RoutingTable>> routing_tables_;
+  // Per-destination routing BFSs for SendRouted/HopDistance, indexed by
+  // destination node id: created on a destination's first routed call and
+  // expanded only as far as the sources asked about so far.
+  std::vector<std::unique_ptr<ResumableBfs>> routes_;
+  // Churn only: 1 for nodes absent in the current churn epoch, so routes
+  // never relay through them.  Computed at the epoch's first routed call;
+  // absence changes only at churn events, which all mark it stale.
+  std::vector<char> route_absent_;
+  bool route_absent_stale_ = true;
 
   static bool default_arena_messages_;
 };

@@ -50,6 +50,21 @@ TEST(CheckFuzzRegressionTest, MaintenanceMutualAdoptionCycleSeed412) {
   EXPECT_TRUE(out.ok()) << out.Summary();
 }
 
+TEST(CheckFuzzRegressionTest, MaintenanceStaleVerifiedBaseUnderFireFront) {
+  // Found by the 1000-seed sweep (synchronous churn with a fire front):
+  // a root's feature push moved a member's stored root feature while its
+  // verified_ feature stayed at a pre-shift value more than delta away, so
+  // a later update was absorbed by A1/A2 against that stale base and left
+  // the node out of range of its root (seed 611: node 4 at 0.736 > 0.506;
+  // 772: node 6 at 1.886 > 1.550; 971: node 1 at 3.746 > 3.256).  Fixed by
+  // rebasing verified_ on the checked feature whenever a push or relabel
+  // leaves the node in range under churn.
+  for (const uint64_t seed : {611, 772, 971}) {
+    const CheckOutcome out = RunScenario(Protocol::kMaintenance, seed);
+    EXPECT_TRUE(out.ok()) << "seed " << seed << ": " << out.Summary();
+  }
+}
+
 TEST(CheckFuzzRegressionTest, ReliableRoutedSelfAckSeed62) {
   // Found by check_fuzz: ReliableChannel acked a routed self-delivery
   // (rel_from == from == self) with Network::Send(self, self), which fails
