@@ -13,6 +13,8 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,19 +115,58 @@ inline int ThreadsFromArgs(int argc, char** argv) {
   return 1;
 }
 
-/// Parses a `--name value` / `--name=value` string flag; empty when absent.
+/// The value of a `--name value` / `--name=value` flag (the first one
+/// given); nullptr when absent.
+inline const char* FlagArg(int argc, char** argv, const char* name) {
+  const size_t len = std::strlen(name);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
+      return argv[i] + len + 1;
+    }
+    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
+  }
+  return nullptr;
+}
+
+/// Parses a string flag; `default_value` (empty unless given) when absent.
 inline std::string StringFlag(int argc, char** argv, const char* name,
                               const std::string& default_value = "") {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return argv[i] + eq.size();
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-  }
-  return default_value;
+  const char* v = FlagArg(argc, argv, name);
+  return v != nullptr ? v : default_value;
+}
+
+/// Parses an unsigned integer flag; `dflt` when absent.
+inline uint64_t FlagValue(int argc, char** argv, const char* name,
+                          uint64_t dflt) {
+  const char* v = FlagArg(argc, argv, name);
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : dflt;
+}
+
+/// Parses a floating-point flag; `dflt` when absent.
+inline double DoubleFlag(int argc, char** argv, const char* name,
+                         double dflt) {
+  const char* v = FlagArg(argc, argv, name);
+  return v != nullptr ? std::strtod(v, nullptr) : dflt;
+}
+
+/// Pulls `"key": <number>` out of a JSON report written by a bench harness;
+/// 0.0 when absent.  The reports are flat and self-written, so a full
+/// parser is not needed.
+inline double JsonNumber(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\"";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return 0.0;
+  const size_t colon = json.find(':', at + needle.size());
+  if (colon == std::string::npos) return 0.0;
+  return std::strtod(json.c_str() + colon + 1, nullptr);
+}
+
+/// The whole contents of `path`; nullopt when it cannot be opened.
+inline std::optional<std::string> ReadWholeFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return std::nullopt;
+  return std::string(std::istreambuf_iterator<char>(f),
+                     std::istreambuf_iterator<char>());
 }
 
 /// Writes run reports as JSON lines (one RunReport object per line), the

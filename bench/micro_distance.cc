@@ -14,47 +14,24 @@
 // rep count so the harness is exercised on every test run.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "metric/distance.h"
 #include "metric/feature_pool.h"
 #include "metric/simd.h"
 
 using namespace elink;
+using namespace elink::bench;
 
 namespace {
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t dflt) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return std::strtoull(argv[i] + eq.size(), nullptr, 10);
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return dflt;
-}
-
-std::string StringFlag(int argc, char** argv, const char* name) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return argv[i] + eq.size();
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return "";
 }
 
 /// Million distances per second for one kernel over `reps` sweeps of the

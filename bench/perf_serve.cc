@@ -29,11 +29,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/clustered_network.h"
 #include "data/terrain.h"
@@ -43,68 +43,9 @@
 #include "serve/workload.h"
 
 using namespace elink;
+using namespace elink::bench;
 
 namespace {
-
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t dflt) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return std::strtoull(argv[i] + eq.size(), nullptr, 10);
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return dflt;
-}
-
-double DoubleFlag(int argc, char** argv, const char* name, double dflt) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return std::strtod(argv[i] + eq.size(), nullptr);
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return std::strtod(argv[i + 1], nullptr);
-    }
-  }
-  return dflt;
-}
-
-std::string StringFlag(int argc, char** argv, const char* name) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return argv[i] + eq.size();
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return "";
-}
-
-/// Pulls `"key": <number>` out of a baseline report written by this binary.
-double JsonNumber(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return 0.0;
-  const size_t colon = json.find(':', at + needle.size());
-  if (colon == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return "";
-  std::string json;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    json.append(buf, got);
-  }
-  std::fclose(f);
-  return json;
-}
 
 double Percentile(const std::vector<double>& sorted_us, double p) {
   if (sorted_us.empty()) return 0.0;
@@ -253,7 +194,7 @@ ServeOutcome RunServeBench(int nodes, int clients, int ops_per_client,
 
 /// Perf gate: QPS within 10% of the committed baseline, cache still hitting.
 bool CheckAgainst(const std::string& baseline_path, const ServeOutcome& run) {
-  const std::string json = ReadWholeFile(baseline_path);
+  const std::string json = ReadWholeFile(baseline_path).value_or("");
   if (json.empty()) {
     std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
     return false;

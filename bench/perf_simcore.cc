@@ -31,7 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "bench/bench_util.h"
 #include "proto/wire.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
@@ -51,6 +52,7 @@
 #endif
 
 using namespace elink;
+using namespace elink::bench;
 
 namespace {
 
@@ -300,44 +302,9 @@ WireOutcome WireBench(uint64_t num_frames) {
   return out;
 }
 
-uint64_t FlagValue(int argc, char** argv, const char* name, uint64_t dflt) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return std::strtoull(argv[i] + eq.size(), nullptr, 10);
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return dflt;
-}
-
-std::string StringFlag(int argc, char** argv, const char* name) {
-  const std::string eq = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], eq.c_str(), eq.size()) == 0) {
-      return argv[i] + eq.size();
-    }
-    if (std::strcmp(argv[i], name) == 0 && i + 1 < argc) return argv[i + 1];
-  }
-  return "";
-}
-
 std::string OutPath(int argc, char** argv) {
   const std::string out = StringFlag(argc, argv, "--out");
   return out.empty() ? ELINK_BENCH_JSON_DEFAULT : out;
-}
-
-/// Pulls `"key": <number>` out of a baseline JSON report; 0.0 when absent.
-/// The reports are written by this binary, so a full parser is not needed.
-double JsonNumber(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = json.find(needle);
-  if (at == std::string::npos) return 0.0;
-  const size_t colon = json.find(':', at + needle.size());
-  if (colon == std::string::npos) return 0.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
 }
 
 /// Peak resident set size in KiB (0 where getrusage is unavailable).
@@ -359,21 +326,13 @@ size_t PeakRssKb() {
 /// (check failed) when events/sec or sends/sec regressed more than 10%.
 bool CheckAgainst(const std::string& baseline_path, const FloodOutcome& flood,
                   double sends_per_sec) {
-  FILE* f = std::fopen(baseline_path.c_str(), "r");
-  if (f == nullptr) {
+  const std::optional<std::string> json = ReadWholeFile(baseline_path);
+  if (!json) {
     std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
     return false;
   }
-  std::string json;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    json.append(buf, got);
-  }
-  std::fclose(f);
-
-  const double base_events = JsonNumber(json, "events_per_sec");
-  const double base_sends = JsonNumber(json, "sends_per_sec");
+  const double base_events = JsonNumber(*json, "events_per_sec");
+  const double base_sends = JsonNumber(*json, "sends_per_sec");
   if (base_events <= 0.0) {
     std::fprintf(stderr, "baseline %s has no events_per_sec\n",
                  baseline_path.c_str());
@@ -404,24 +363,11 @@ bool CheckAgainst(const std::string& baseline_path, const FloodOutcome& flood,
   return ok;
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return "";
-  std::string json;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    json.append(buf, got);
-  }
-  std::fclose(f);
-  return json;
-}
-
 /// Wire-codec gate: fails when encode or decode frames/sec regressed more
 /// than 10% against the committed baseline report.
 bool CheckWireAgainst(const std::string& baseline_path,
                       const WireOutcome& wire) {
-  const std::string json = ReadWholeFile(baseline_path);
+  const std::string json = ReadWholeFile(baseline_path).value_or("");
   if (json.empty()) {
     std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
     return false;

@@ -8,8 +8,6 @@
 
 namespace elink {
 
-bool Network::default_arena_messages_ = true;
-
 namespace {
 
 // The armed-checkpoint slot lives behind this out-of-line accessor: a
@@ -163,14 +161,56 @@ double Network::NextHopDelay() {
   return rng_.Uniform(config_.async_delay_min, config_.async_delay_max);
 }
 
-void Network::MaybeTruncate(Message* msg) {
+std::optional<Message> Network::Truncated(const Message& msg) {
   size_t keep_ints = 0, keep_doubles = 0;
-  if (fault_.truncates() &&
-      fault_.TruncatePayload(msg->ints.size(), msg->doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    msg->ints.resize(keep_ints);
-    msg->doubles.resize(keep_doubles);
+  if (!fault_.truncates() ||
+      !fault_.TruncatePayload(msg.ints.size(), msg.doubles.size(),
+                              &keep_ints, &keep_doubles)) {
+    return std::nullopt;
   }
+  Message chopped = msg;
+  chopped.ints.resize(keep_ints);
+  chopped.doubles.resize(keep_doubles);
+  return chopped;
+}
+
+bool Network::TransmitLeg(int from, int to, const Message& msg, double depart,
+                          double hop_delay, uint64_t frame_bytes,
+                          uint64_t msg_id, bool relay) {
+  const double at = Now() + depart;
+  // All fault decisions are made at send time (the receiver's crash state is
+  // evaluated at the arrival instant), so runs stay deterministic and the
+  // transmission is charged to the ledger exactly once.  The fault decision
+  // is always evaluated first — churn is schedule-only and draws nothing, so
+  // adding it cannot perturb the fault RNG stream.  A relay hop always
+  // rides a live link (routes are rebuilt at every churn event), so its
+  // live-edge test passes and only endpoint absence can sink it.
+  const bool fault_drop =
+      fault_.enabled() && (fault_.IsCrashed(from, at) ||
+                           fault_.DropTransmission(from, to, at) ||
+                           fault_.IsCrashed(to, at + hop_delay));
+  const bool churn_drop =
+      churn_.enabled() &&
+      (churn_.IsAbsent(from, at) || churn_.IsAbsent(to, at + hop_delay) ||
+       !HasLiveEdge(from, to));
+  const bool lost = fault_drop || churn_drop;
+  if (churn_drop) ++churn_drops_;
+  if (lost) {
+    stats_.RecordDropped(msg.category, msg.CostUnits(), frame_bytes);
+  } else {
+    stats_.Record(msg.category, msg.CostUnits(), frame_bytes);
+  }
+  if (observer_ != nullptr) {
+    observer_->OnCausal({0, msg_id, queue_.active_cause()});
+    if (lost) {
+      observer_->OnDrop(at, from, to, msg);
+    } else if (relay) {
+      observer_->OnHop(at, from, to, msg);
+    } else {
+      observer_->OnSend(at, from, to, msg, hop_delay);
+    }
+  }
+  return !lost;
 }
 
 void Network::Send(int from, int to, Message msg) {
@@ -179,67 +219,22 @@ void Network::Send(int from, int to, Message msg) {
   ELINK_CHECK(topology_.HasEdge(from, to) ||
               (churn_.enabled() && HasLiveEdge(from, to)));
   ELINK_CHECK(nodes_[to] != nullptr);
+  // A single hop draws its delay, then its truncation (the chopped frame is
+  // what is on the air, so drop charges reflect it), then its loss.
   const double delay = NextHopDelay();
-  // Truncation is decided first (the chopped frame is what is on the air, so
-  // drop charges reflect it), then loss.  Each fault stream draw happens in
-  // the same order here and in SendShared, keeping Broadcast bit-identical
-  // to the N Sends it replaces.
-  if (fault_.enabled()) MaybeTruncate(&msg);
-  // All fault decisions are made at send time (the receiver's crash state is
-  // evaluated at the arrival instant), so runs stay deterministic and the
-  // drop is charged to the ledger exactly once.  The fault decision is
-  // always evaluated first — churn is schedule-only and draws nothing, so
-  // adding it cannot perturb the fault RNG stream.
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(msg.category, msg.CostUnits(), FrameBytes(msg));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, NewCauseId(), queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, msg);
-    }
-    return;
+  if (auto chopped = Truncated(msg)) msg = std::move(*chopped);
+  const uint64_t mid = observer_ != nullptr ? NewCauseId() : 0;
+  if (TransmitLeg(from, to, msg, 0.0, delay, FrameBytes(msg), mid,
+                  /*relay=*/false)) {
+    ScheduleDelivery(delay, from, to, std::move(msg), mid);
   }
-  stats_.Record(msg.category, msg.CostUnits(), FrameBytes(msg));
-  uint64_t mid = 0;
-  if (observer_ != nullptr) {
-    mid = NewCauseId();
-    observer_->OnCausal({0, mid, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, msg, delay);
-  }
-  ScheduleDelivery(delay, from, to, std::move(msg), mid);
 }
 
 void Network::ScheduleDelivery(double delay, int from, int to, Message&& msg,
                                uint64_t msg_id) {
-  if (config_.arena_messages) {
-    MessageArena::Slot* slot = arena_.Create(std::move(msg));
-    slot->msg_id = msg_id;
-    queue_.ScheduleDeliveryAfter(delay, from, to, slot);
-  } else {
-    queue_.ScheduleAfter(delay, [this, from, to, msg_id,
-                                 m = std::move(msg)]() {
-      DeliverHeap(from, to, m, msg_id);
-    });
-  }
-}
-
-void Network::DeliverHeap(int from, int to, const Message& msg,
-                          uint64_t msg_id) {
-  if (observer_ != nullptr) {
-    const uint64_t self = NewCauseId();
-    queue_.set_active_cause(self);
-    observer_->OnCausal({self, msg_id, 0});
-    observer_->OnDeliver(Now(), from, to, msg);
-  }
-  nodes_[to]->HandleMessage(from, msg);
+  MessageArena::Slot* slot = arena_.Create(std::move(msg));
+  slot->msg_id = msg_id;
+  queue_.ScheduleDeliveryAfter(delay, from, to, slot);
 }
 
 void Network::OnDeliveryEvent(void* ctx, int from, int to, void* payload) {
@@ -288,142 +283,38 @@ void Network::OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux) {
   net->nodes_[node]->HandleTimer(timer_id);
 }
 
-void Network::SendShared(int from, int to,
-                         const std::shared_ptr<const Message>& msg,
-                         uint64_t msg_id) {
-  ELINK_CHECK(topology_.HasEdge(from, to) ||
-              (churn_.enabled() && HasLiveEdge(from, to)));
-  ELINK_CHECK(nodes_[to] != nullptr);
-  // Mirrors Send exactly — same RNG draw order (delay first, then truncate,
-  // then loss), same charging — so a Broadcast is bit-identical to the N
-  // independent Sends it replaces.  A truncated leg falls back to a private
-  // copy of the payload; intact legs keep sharing the immutable message.
-  const double delay = NextHopDelay();
-  Message chopped;
-  const Message* wire = msg.get();
-  size_t keep_ints = 0, keep_doubles = 0;
-  if (fault_.enabled() && fault_.truncates() &&
-      fault_.TruncatePayload(msg->ints.size(), msg->doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    chopped = *msg;
-    chopped.ints.resize(keep_ints);
-    chopped.doubles.resize(keep_doubles);
-    wire = &chopped;
-  }
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(wire->category, wire->CostUnits(),
-                         FrameBytes(*wire));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, msg_id, queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, *wire);
-    }
-    return;
-  }
-  stats_.Record(wire->category, wire->CostUnits(), FrameBytes(*wire));
-  if (observer_ != nullptr) {
-    observer_->OnCausal({0, msg_id, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, *wire, delay);
-  }
-  if (wire == &chopped) {
-    queue_.ScheduleAfter(delay, [this, from, to, msg_id,
-                                 m = std::move(chopped)]() {
-      DeliverHeap(from, to, m, msg_id);
-    });
-  } else {
-    queue_.ScheduleAfter(delay, [this, from, to, msg, msg_id]() {
-      DeliverHeap(from, to, *msg, msg_id);
-    });
-  }
-}
-
-void Network::SendSharedArena(int from, int to, MessageArena::Slot* shared) {
-  ELINK_CHECK(topology_.HasEdge(from, to) ||
-              (churn_.enabled() && HasLiveEdge(from, to)));
-  ELINK_CHECK(nodes_[to] != nullptr);
-  // Mirrors Send (and the heap-path SendShared) exactly — same RNG draw
-  // order (delay first, then truncate, then loss), same charging — so a
-  // Broadcast is bit-identical to the N independent Sends it replaces.  A
-  // truncated leg gets a private arena copy of the payload; intact legs
-  // reference the shared slot (one AddRef per scheduled delivery).
-  const Message& msg = shared->msg;
-  const double delay = NextHopDelay();
-  Message chopped;
-  const Message* wire = &msg;
-  size_t keep_ints = 0, keep_doubles = 0;
-  bool truncated = false;
-  if (fault_.enabled() && fault_.truncates() &&
-      fault_.TruncatePayload(msg.ints.size(), msg.doubles.size(), &keep_ints,
-                             &keep_doubles)) {
-    chopped = msg;
-    chopped.ints.resize(keep_ints);
-    chopped.doubles.resize(keep_doubles);
-    wire = &chopped;
-    truncated = true;
-  }
-  const bool fault_drop =
-      fault_.enabled() && (fault_.IsCrashed(from, Now()) ||
-                           fault_.DropTransmission(from, to, Now()) ||
-                           fault_.IsCrashed(to, Now() + delay));
-  const bool churn_drop =
-      churn_.enabled() &&
-      (churn_.IsAbsent(from, Now()) || churn_.IsAbsent(to, Now() + delay) ||
-       !HasLiveEdge(from, to));
-  if (fault_drop || churn_drop) {
-    // The leg never schedules, so it takes no reference: a fan-out whose
-    // legs all drop releases the payload when Broadcast drops its own ref.
-    if (churn_drop) ++churn_drops_;
-    stats_.RecordDropped(wire->category, wire->CostUnits(),
-                         FrameBytes(*wire));
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, shared->msg_id, queue_.active_cause()});
-      observer_->OnDrop(Now(), from, to, *wire);
-    }
-    return;
-  }
-  stats_.Record(wire->category, wire->CostUnits(), FrameBytes(*wire));
-  if (observer_ != nullptr) {
-    observer_->OnCausal({0, shared->msg_id, queue_.active_cause()});
-    observer_->OnSend(Now(), from, to, *wire, delay);
-  }
-  if (truncated) {
-    // The truncated leg's private payload is still the same logical
-    // transmission, so it keeps the fan-out's message id — the (id, to)
-    // pair stays unique across legs either way.
-    MessageArena::Slot* priv = arena_.Create(std::move(chopped));
-    priv->msg_id = shared->msg_id;
-    queue_.ScheduleDeliveryAfter(delay, from, to, priv);
-  } else {
-    MessageArena::AddRef(shared);
-    queue_.ScheduleDeliveryAfter(delay, from, to, shared);
-  }
-}
-
 void Network::Broadcast(int from, Message msg) {
   const std::vector<int>& nbrs = neighbors(from);
   if (nbrs.empty()) return;
   // One immutable payload shared by every fan-out leg; receivers get a
   // const& into it, so nothing is copied per neighbor.
-  if (config_.arena_messages) {
-    MessageArena::Slot* shared = arena_.Create(std::move(msg));
-    if (observer_ != nullptr) shared->msg_id = NewCauseId();
-    for (int nb : nbrs) SendSharedArena(from, nb, shared);
-    // Drop the creator's reference; the payload now lives exactly as long
-    // as its last scheduled delivery (or dies here if every leg dropped).
-    arena_.Release(shared);
-  } else {
-    const auto shared = std::make_shared<const Message>(std::move(msg));
-    const uint64_t mid = observer_ != nullptr ? NewCauseId() : 0;
-    for (int nb : nbrs) SendShared(from, nb, shared, mid);
+  MessageArena::Slot* shared = arena_.Create(std::move(msg));
+  if (observer_ != nullptr) shared->msg_id = NewCauseId();
+  const uint64_t frame_bytes = FrameBytes(shared->msg);
+  for (int nb : nbrs) {
+    ELINK_CHECK(nodes_[nb] != nullptr);
+    // Each leg draws delay, truncation and loss exactly as a Send to `nb`
+    // would, so a Broadcast is bit-identical to the N Sends it replaces.
+    const double delay = NextHopDelay();
+    std::optional<Message> chopped = Truncated(shared->msg);
+    if (!TransmitLeg(from, nb, chopped ? *chopped : shared->msg, 0.0, delay,
+                     chopped ? FrameBytes(*chopped) : frame_bytes,
+                     shared->msg_id, /*relay=*/false)) {
+      continue;  // A lost leg takes no reference on the payload.
+    }
+    if (chopped) {
+      // The truncated leg's private payload is still the same logical
+      // transmission, so it keeps the fan-out's message id — the (id, to)
+      // pair stays unique across legs either way.
+      ScheduleDelivery(delay, from, nb, std::move(*chopped), shared->msg_id);
+    } else {
+      MessageArena::AddRef(shared);
+      queue_.ScheduleDeliveryAfter(delay, from, nb, shared);
+    }
   }
+  // Drop the creator's reference; the payload now lives exactly as long as
+  // its last scheduled delivery (or dies here if every leg dropped).
+  arena_.Release(shared);
 }
 
 void Network::InvalidateRoutes() {
@@ -481,21 +372,15 @@ int Network::SendRouted(int from, int to, Message msg) {
     return 0;
   }
   // End-to-end payload corruption: one truncation decision per routed
-  // message, drawn before the per-hop loss draws.
-  if (fault_.enabled()) MaybeTruncate(&msg);
+  // message, drawn before the per-hop delay and loss draws.
+  if (auto chopped = Truncated(msg)) msg = std::move(*chopped);
   // The identical frame is on the air at every hop, so its length is
   // computed once per routed message, not once per relay.
   const uint64_t frame_bytes = FrameBytes(msg);
   // One message id covers the whole routed journey — every relay hop is the
-  // same frame in flight.  The causal parent is pinned here: the hop loop
-  // below runs synchronously inside the caller's handler, so the active
-  // cause cannot change mid-walk.
-  uint64_t mid = 0;
-  uint64_t cause = 0;
-  if (observer_ != nullptr) {
-    mid = NewCauseId();
-    cause = queue_.active_cause();
-  }
+  // same frame in flight.  The hop loop runs synchronously inside the
+  // caller's handler, so every hop shares the caller's causal parent.
+  const uint64_t mid = observer_ != nullptr ? NewCauseId() : 0;
   // Walk the path hop by hop: each relay transmission is charged when it
   // happens and any hop can lose the message (relay crashed, link down or
   // lossy, next relay dead on arrival).  Fault-free, this performs exactly
@@ -506,37 +391,16 @@ int Network::SendRouted(int from, int to, Message msg) {
   while (cur != to) {
     const int next = route.parent(cur);
     const double hop_delay = NextHopDelay();
-    const bool fault_drop =
-        fault_.enabled() &&
-        (fault_.IsCrashed(cur, Now() + delay) ||
-         fault_.DropTransmission(cur, next, Now() + delay) ||
-         fault_.IsCrashed(next, Now() + delay + hop_delay));
-    // The route reflects live links at send time, so only endpoint
-    // absence (at the hop's own instants) can sink a hop here.
-    const bool churn_drop =
-        churn_.enabled() &&
-        (churn_.IsAbsent(cur, Now() + delay) ||
-         churn_.IsAbsent(next, Now() + delay + hop_delay));
-    if (fault_drop || churn_drop) {
-      if (churn_drop) ++churn_drops_;
-      stats_.RecordDropped(msg.category, msg.CostUnits(), frame_bytes);
-      if (observer_ != nullptr) {
-        observer_->OnCausal({0, mid, cause});
-        observer_->OnDrop(Now() + delay, cur, next, msg);
-      }
+    if (!TransmitLeg(cur, next, msg, delay, hop_delay, frame_bytes, mid,
+                     /*relay=*/true)) {
       return hops;
-    }
-    stats_.Record(msg.category, msg.CostUnits(), frame_bytes);
-    if (observer_ != nullptr) {
-      observer_->OnCausal({0, mid, cause});
-      observer_->OnHop(Now() + delay, cur, next, msg);
     }
     delay += hop_delay;
     prev = cur;
     cur = next;
   }
   if (observer_ != nullptr) {
-    observer_->OnCausal({0, mid, cause});
+    observer_->OnCausal({0, mid, queue_.active_cause()});
     observer_->OnSend(Now(), from, to, msg, delay);
   }
   // The penultimate node on the path is the sender seen by `to`.

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,24 +102,7 @@ class Network {
     /// link add/remove).  The default plan is inert: the topology is frozen
     /// and the run is byte-identical to a build without the churn layer.
     ChurnPlan churn;
-    /// When true (the default), in-flight payloads live in the slab arena
-    /// and deliveries are inline POD events; when false, every delivery
-    /// parks its payload in a heap-backed closure (the pre-arena layout).
-    /// The two paths are observably identical — same RNG draws, same
-    /// (time, seq) order, same bytes in every report — and the knob exists
-    /// so tests can prove exactly that.
-    bool arena_messages = Network::default_arena_messages();
   };
-
-  /// Process-wide default for Config::arena_messages.  Protocols construct
-  /// their Network::Config internally, so the arena-vs-heap equivalence
-  /// suite flips this to run whole protocol stacks on the legacy heap path
-  /// without threading a knob through every protocol's options.  Not a
-  /// production switch: leave it true outside tests.
-  static bool default_arena_messages() { return default_arena_messages_; }
-  static void set_default_arena_messages(bool v) {
-    default_arena_messages_ = v;
-  }
 
   Network(Topology topology, Config config);
 
@@ -158,11 +142,14 @@ class Network {
   /// path; intermediate nodes relay without processing.  Each hop is charged
   /// like a Send.  Used for quadtree parent/child signalling and query
   /// routing, whose endpoints need not be radio neighbors.
-  /// Returns the number of hops traveled (0 for from == to, in which case
-  /// the message is delivered locally after zero delay).  Under churn the
-  /// path runs over live links between present nodes.  With no path at all
-  /// (a disconnected deployment, or a churn-partitioned live graph) the
-  /// message is charged once as a dropped send and 0 is returned.
+  /// Returns the hop length of the chosen path, whether or not the message
+  /// survives it: a hop lost mid-route ends the journey (the hops before it
+  /// stay charged) but still returns the full path length.  Returns 0 for
+  /// from == to, in which case the message is delivered locally after zero
+  /// delay.  Under churn the path runs over live links between present
+  /// nodes.  With no path at all (a disconnected deployment, or a
+  /// churn-partitioned live graph) the message is charged once as a dropped
+  /// send and 0 is returned.
   int SendRouted(int from, int to, Message msg);
 
   /// Hop distance between two nodes along the path SendRouted would take
@@ -216,8 +203,7 @@ class Network {
   bool hit_event_cap() const { return hit_event_cap_; }
 
   Node* node(int id) { return nodes_[id].get(); }
-  /// The payload arena (exposed for tests/diagnostics; empty when the run
-  /// uses heap-backed messages).
+  /// The payload arena (exposed for tests/diagnostics).
   const MessageArena& arena() const { return arena_; }
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
@@ -274,28 +260,26 @@ class Network {
   void RestartNode(int node);
   /// Delivers OnNeighborChange(node, up) to every present live neighbor.
   void NotifyNeighbors(int node, bool up);
-  /// Applies the fault plan's in-flight payload truncation to `msg` (no-op
-  /// unless the plan enables it; draws from the fault RNG stream only then).
-  void MaybeTruncate(Message* msg);
-  /// One fan-out leg of a Broadcast (heap path): identical charging/fault/
-  /// delay logic to Send, but the delivery closure holds a reference to the
-  /// shared payload instead of its own Message copy.  `msg_id` is the
-  /// fan-out's shared causal message id (0 when untraced).
-  void SendShared(int from, int to, const std::shared_ptr<const Message>& msg,
-                  uint64_t msg_id);
-  /// One fan-out leg of a Broadcast (arena path): `shared` is the arena
-  /// payload every intact leg references; a truncated leg gets a private
-  /// arena copy.  Charging/fault/delay logic mirrors Send exactly.
-  void SendSharedArena(int from, int to, MessageArena::Slot* shared);
+  /// The fault plan's in-flight payload truncation for one transmission of
+  /// `msg`: the chopped frame, or nullopt when the frame stays intact.
+  /// Draws from the fault RNG stream only when the plan truncates.
+  std::optional<Message> Truncated(const Message& msg);
+  /// One single-hop transmission of the frame `msg` (`frame_bytes` on the
+  /// air) from `from` to `to`, leaving `depart` after Now() and taking
+  /// `hop_delay`: decides loss (fault plan first, then churn), charges the
+  /// ledger once — sent or dropped — and reports the outcome under causal
+  /// message id `msg_id`: OnDrop, else OnHop for a `relay` hop, else
+  /// OnSend.  Returns false when the transmission was lost.  Every send
+  /// path funnels through here, so each hop is charged on its own exactly
+  /// as the paper's cost model (Section 8.2) prescribes.
+  bool TransmitLeg(int from, int to, const Message& msg, double depart,
+                   double hop_delay, uint64_t frame_bytes, uint64_t msg_id,
+                   bool relay);
   /// Schedules the final delivery of `msg` (already charged and fault-
-  /// cleared): an inline arena-backed POD event, or — with arena_messages
-  /// off — the legacy heap-backed closure.  `msg_id` rides along so the
-  /// delivery can report which traced message it completes.
+  /// cleared) as an inline arena-backed POD event.  `msg_id` rides along so
+  /// the delivery can report which traced message it completes.
   void ScheduleDelivery(double delay, int from, int to, Message&& msg,
                         uint64_t msg_id);
-  /// Heap-path delivery body: emits the causal/deliver annotations and runs
-  /// the handler, consuming ids in exactly the order the arena path does.
-  void DeliverHeap(int from, int to, const Message& msg, uint64_t msg_id);
   /// Inline-event trampolines installed into the EventQueue.
   static void OnDeliveryEvent(void* ctx, int from, int to, void* payload);
   static void OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux);
@@ -344,8 +328,6 @@ class Network {
   // absence changes only at churn events, which all mark it stale.
   std::vector<char> route_absent_;
   bool route_absent_stale_ = true;
-
-  static bool default_arena_messages_;
 };
 
 }  // namespace elink

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "core/clustered_network.h"
 #include "data/terrain.h"
+#include "obs/trace.h"
 #include "serve/session.h"
 #include "serve/workload.h"
 
@@ -51,10 +52,9 @@ SensorDataset GoldenDataset() {
 // drift here would silently re-seed both golden runs, so it is pinned too.
 constexpr double kGoldenDelta = 408.66203056546743;
 
-TEST(DeterminismGoldenTest, FaultedReliableExplicitRunIsBitIdentical) {
-  const SensorDataset ds = GoldenDataset();
-  ASSERT_DOUBLE_EQ(0.3 * FeatureDiameter(ds), kGoldenDelta);
-
+// Asynchronous explicit ELink under loss, a crash/recovery and a link
+// outage, carried by the reliable transport.
+ElinkConfig FaultedReliableConfig() {
   ElinkConfig cfg;
   cfg.delta = kGoldenDelta;
   cfg.seed = 77;
@@ -67,7 +67,14 @@ TEST(DeterminismGoldenTest, FaultedReliableExplicitRunIsBitIdentical) {
   cfg.reliable.backoff = 1.5;
   cfg.reliable.max_retries = 8;
   cfg.completion_timeout = 450.0;
-  auto res = RunElink(ds, cfg, ElinkMode::kExplicit);
+  return cfg;
+}
+
+TEST(DeterminismGoldenTest, FaultedReliableExplicitRunIsBitIdentical) {
+  const SensorDataset ds = GoldenDataset();
+  ASSERT_DOUBLE_EQ(0.3 * FeatureDiameter(ds), kGoldenDelta);
+
+  auto res = RunElink(ds, FaultedReliableConfig(), ElinkMode::kExplicit);
   ASSERT_TRUE(res.ok());
   const ElinkResult& r = res.value();
 
@@ -83,6 +90,28 @@ TEST(DeterminismGoldenTest, FaultedReliableExplicitRunIsBitIdentical) {
   EXPECT_EQ(r.total_switches, 0);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.unclustered_nodes, 8);
+}
+
+TEST(DeterminismGoldenTest, FaultedReliableExplicitTraceIsBitIdentical) {
+  // The same faulted run, traced: every send, relay hop, drop and delivery
+  // annotation (with its causal ids) is pinned through one digest of the
+  // JSONL export, so a transmit-path change that reorders an emission or a
+  // causal-id draw shows up here even when the ledger above still matches.
+  const SensorDataset ds = GoldenDataset();
+  obs::Tracer tracer(1 << 15);  // ~17k events recorded.
+  ElinkConfig cfg = FaultedReliableConfig();
+  cfg.observer = &tracer;
+  auto res = RunElink(ds, cfg, ElinkMode::kExplicit);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(tracer.overwritten(), 0u);  // The digest covers the whole run.
+
+  const std::string jsonl = tracer.ExportJsonl();
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : jsonl) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  EXPECT_EQ(h, 2082673757583193874ULL);
 }
 
 TEST(DeterminismGoldenTest, CleanAsynchronousExplicitRunIsBitIdentical) {

@@ -8,11 +8,13 @@
 //    (delivery, fault drop, churn drop, all-legs-dropped broadcast) must end
 //    with arena().live() == 0: a send that is never delivered must still
 //    free its payload.
-//  * The arena-vs-heap property test — for 100 fuzzed scenarios, a full
-//    ELink run on the arena fast path and on the legacy heap-closure path
-//    must produce byte-identical RunReports (plus identical clusterings and
-//    ledgers).  This is the strongest statement of the arena's contract:
-//    not "close", the same bits.
+//  * The pinned run digests — for 100 fuzzed scenarios, a full ELink run
+//    must reproduce the digest of its RunReport, ledger, clustering and
+//    completion time recorded while the legacy heap-closure delivery path
+//    still existed and was proven byte-identical to the arena path.  This
+//    is the strongest statement of the arena's contract: not "close", the
+//    same bits.
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -252,20 +254,7 @@ TEST(NetworkArenaTest, TeardownWithQueuedDeliveriesDoesNotLeak) {
   // ~Network (and ~MessageArena) run here with every payload undelivered.
 }
 
-// -- Arena vs heap equivalence ------------------------------------------------
-
-/// Flips the process-wide arena default for one scope.
-class ScopedArenaDefault {
- public:
-  explicit ScopedArenaDefault(bool v)
-      : saved_(Network::default_arena_messages()) {
-    Network::set_default_arena_messages(v);
-  }
-  ~ScopedArenaDefault() { Network::set_default_arena_messages(saved_); }
-
- private:
-  bool saved_;
-};
+// -- Pinned run digests -------------------------------------------------------
 
 // FNV-1a over the cluster-root assignment (same fold as determinism_test).
 uint64_t HashClustering(const Clustering& c) {
@@ -319,37 +308,92 @@ RunFingerprint RunScenarioOnce(const check::Scenario& s) {
   return fp;
 }
 
-TEST(ArenaHeapEquivalenceTest, FuzzedScenariosProduceByteIdenticalRunReports) {
-  // The property the whole overhaul rests on: for any scenario the fuzzer
-  // can generate, running on the arena fast path and on the legacy
-  // heap-closure path yields the same bytes in every observable — the
-  // serialized RunReport (every counter, histogram bucket, and outcome
-  // field), the message ledger, the clustering, the completion time.
+/// FNV-1a folds of bytes and of 64-bit words (low byte first, so a digest
+/// does not depend on the host's byte order).
+uint64_t Fold(uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+uint64_t Fold(uint64_t h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Marks a seed whose RunElink itself failed.
+constexpr uint64_t kRunFailed = 0;
+
+/// One 64-bit digest of the whole fingerprint; the completion time enters
+/// by its bit pattern, so even a last-ulp drift moves the digest.
+uint64_t Digest(const RunFingerprint& fp) {
+  if (!fp.ok) return kRunFailed;
+  uint64_t h = Fold(1469598103934665603ULL, fp.report_json);
+  h = Fold(h, fp.stats);
+  h = Fold(h, fp.clustering_hash);
+  return Fold(h, std::bit_cast<uint64_t>(fp.completion_time));
+}
+
+// Digests of seeds 1..100, recorded when the legacy heap-closure delivery
+// path still existed and the arena path was proven byte-identical to it
+// seed by seed.  Pinning them keeps that comparison in force with a single
+// delivery path left.
+constexpr uint64_t kRecordedDigests[100] = {
+    0x14c441004c4adcc4ULL, 0x5ff024a94d38232cULL, 0xee47ae90bfce72f6ULL,
+    0xeef857469b360eeaULL, 0xcd565b47f1818634ULL, 0x83b65b94d4475a4eULL,
+    0x1bf74da7d27f2ea0ULL, 0xe6363ad16e730a2cULL, 0xfa94cb085e8cf5baULL,
+    0x3b34b95bc0179cdcULL, 0xc2bd706d96c30a8dULL, 0x5be5580ec2308954ULL,
+    0x012fb01582e050caULL, 0x34484b5dd3870703ULL, 0x512840b46f43d991ULL,
+    0xa9718b34ff6eabd3ULL, 0x7617b58fd216ace8ULL, 0x5d0b0f208e552c3cULL,
+    0x38f6d113624cfa27ULL, 0x37b6d06be6a67655ULL, 0x72db3ba058626b74ULL,
+    0x3d23d2c937f476d3ULL, 0xd7b66555404270b1ULL, 0xffa99e39d984abb7ULL,
+    0x835bba728c091223ULL, 0xe1f961fe561242f0ULL, 0x1729f7e87014699aULL,
+    0xffb8b2c8d5fb2fefULL, 0xefd4b160c769cbbeULL, 0xabdfd572777baaf4ULL,
+    0xbecc34088b6fd76bULL, 0x2ec0beeff33e7c21ULL, 0x8407c762f362e14dULL,
+    0x59d5b6872205e599ULL, 0x9d2c9e6fa8d7dff5ULL, 0xd69ad99ef7aae728ULL,
+    0x4c2fcaf1a871ff76ULL, 0xfe4d0c8e6d9faa6fULL, 0xe97c1223d6897288ULL,
+    0x49c1535f7423f44aULL, 0xb5f879c506200330ULL, 0x9f8c9ee0f59d9a25ULL,
+    0x8b5afd2a590fb034ULL, 0x2a738c6c96bdfc76ULL, 0xef8753d7a92045cdULL,
+    0x1ee7823c434602e9ULL, 0x9002551924fdf435ULL, 0x729f85e43bff2822ULL,
+    0x03066113f44c80b3ULL, 0x4be2677ac00c2b09ULL, 0x84013c7accf501d9ULL,
+    0x880449853a7c2600ULL, 0x2f726d93f12e2274ULL, 0x7946ec4370383067ULL,
+    0x39765170090f0781ULL, 0x7d4c24512f8e2fe9ULL, 0xde4140fb6ed551e1ULL,
+    0x1d15a429c470ccbcULL, 0x51f3542bbaf198b4ULL, 0xcb5062daa3e6a6d9ULL,
+    0xdbba2a8d1b20fd53ULL, 0x749794f4be38c60bULL, 0x0a800e180b5d1fd5ULL,
+    0x532eac72ae84a5e6ULL, 0x7349bf5bc7d5ac3bULL, 0xdc4d762c86645993ULL,
+    0x8eb125f07bdc624eULL, 0x0dd79c8778f81e98ULL, 0x8111fd1fb99df73eULL,
+    0xebee20c32a62a250ULL, 0x0bcee21bacde69d9ULL, 0xe338ec1c3b4aefd1ULL,
+    0x8bf30fff17bfcd81ULL, 0x07b40ac78d6a764dULL, 0x28fb7d2176367870ULL,
+    0xa6ebaa0dcf43b25fULL, 0x66c7c22dafa78b81ULL, 0x366103953dfd6e20ULL,
+    0x532e96601bb1a54fULL, 0x8a3e48f8c9d12a6bULL, 0xe4901c6d86421a6bULL,
+    0x197f0ccc00e8e32cULL, 0x39f0b9ee81813329ULL, 0x92d202731a2f57ccULL,
+    0x51c669bb033c33c4ULL, 0x51ce99baee6efe49ULL, 0xcb0e49853485dabbULL,
+    0xfaac3f3dae2aa44cULL, 0xb64ec83268057b96ULL, 0x9f86092c7edf2e48ULL,
+    0x7f6436861377a346ULL, 0xcf13faccaf556484ULL, 0x15f2452340efd332ULL,
+    0x6d0f6e3991189a13ULL, 0x336c0166731d341cULL, 0x0026e6a37cb7353aULL,
+    0xd1c7982ed634a33eULL, 0xd0d4c15e47c6f1e4ULL, 0x949650cdee2289b4ULL,
+    0xffdecac379b6197fULL,
+};
+
+TEST(RunDigestTest, FuzzedScenariosMatchRecordedDigests) {
+  // For every scenario the fuzzer can generate, the full ELink run must
+  // reproduce the recorded bytes in every observable: the serialized
+  // RunReport (every counter, histogram bucket, and outcome field), the
+  // message ledger, the clustering, the completion time.
   int compared = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     Result<check::Scenario> s = check::MakeScenario(seed);
     ASSERT_TRUE(s.ok()) << "seed " << seed;
-
-    RunFingerprint arena_fp, heap_fp;
-    {
-      ScopedArenaDefault on(true);
-      arena_fp = RunScenarioOnce(s.value());
-    }
-    {
-      ScopedArenaDefault off(false);
-      heap_fp = RunScenarioOnce(s.value());
-    }
-    ASSERT_EQ(arena_fp.ok, heap_fp.ok) << "seed " << seed;
-    if (!arena_fp.ok) continue;  // Both failed identically; nothing to diff.
-    ++compared;
-    EXPECT_EQ(arena_fp.clustering_hash, heap_fp.clustering_hash)
-        << "seed " << seed;
-    EXPECT_EQ(arena_fp.stats, heap_fp.stats) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(arena_fp.completion_time, heap_fp.completion_time)
-        << "seed " << seed;
-    EXPECT_EQ(arena_fp.report_json, heap_fp.report_json) << "seed " << seed;
+    const uint64_t digest = Digest(RunScenarioOnce(s.value()));
+    EXPECT_EQ(digest, kRecordedDigests[seed - 1]) << "seed " << seed;
+    if (digest != kRunFailed) ++compared;
   }
-  // The property is vacuous if RunElink failed everywhere.
+  // The pin is vacuous if RunElink failed everywhere.
   EXPECT_GE(compared, 90);
 }
 

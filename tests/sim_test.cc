@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -425,6 +427,107 @@ TEST(NetworkTest, AsynchronousDelaysVaryButDeliver) {
   EXPECT_EQ(static_cast<RecorderNode*>(net.node(3))->received.size(), 1u);
   EXPECT_GT(net.Now(), 0.0);
   EXPECT_LT(net.Now(), 1.5 + 1e-9);
+}
+
+// -- Broadcast vs independent Sends -------------------------------------------
+
+/// One delivery as its receiver saw it.  Field counts stand in for the
+/// payload: truncation only ever shortens it.
+struct Delivery {
+  double at;
+  int from;
+  int to;
+  int type;
+  size_t ints;
+  size_t doubles;
+  bool operator==(const Delivery&) const = default;
+};
+
+class LoggingNode : public Node {
+ public:
+  explicit LoggingNode(std::vector<Delivery>* log) : log_(log) {}
+  void HandleMessage(int from, const Message& msg) override {
+    log_->push_back({network()->Now(), from, id(), msg.type, msg.ints.size(),
+                     msg.doubles.size()});
+  }
+
+ private:
+  std::vector<Delivery>* log_;
+};
+
+struct FanOutRun {
+  std::vector<Delivery> log;
+  std::string stats;
+  uint64_t total_bytes = 0;
+  uint64_t dropped_bytes = 0;
+  uint64_t churn_drops = 0;
+};
+
+/// Ten rounds on a 4x4 grid under loss, truncation and a link outage (plus,
+/// optionally, a churn crash window).  Each round every present node fans
+/// one message out to its neighbors: as one Broadcast, or as one Send per
+/// neighbors() entry in order.
+FanOutRun RunFanOut(bool synchronous, bool churn, bool broadcast) {
+  Network::Config cfg;
+  cfg.synchronous = synchronous;
+  cfg.seed = 23;
+  cfg.fault.drop_probability = 0.3;
+  cfg.fault.truncate_probability = 0.5;
+  cfg.fault.link_outages.push_back({5, 6, 4.0, 12.0});
+  if (churn) cfg.churn.crashes.push_back({9, 6.0, 14.0});
+  FanOutRun run;
+  Network net(MakeGridTopology(4, 4), cfg);
+  net.InstallNodes(
+      [&run](int) { return std::make_unique<LoggingNode>(&run.log); });
+  Network* n = &net;
+  for (int round = 0; round < 10; ++round) {
+    net.ScheduleAfter(2.0 * round, [n, round, broadcast]() {
+      for (int from = 0; from < n->num_nodes(); ++from) {
+        if (!n->IsPresent(from)) continue;
+        Message m;
+        m.type = round;
+        m.category = "fan";
+        m.ints = {from, round};
+        m.doubles = {1.0, 2.0, 3.0};
+        if (broadcast) {
+          n->Broadcast(from, m);
+        } else {
+          for (int nb : n->neighbors(from)) n->Send(from, nb, m);
+        }
+      }
+    });
+  }
+  net.Run();
+  run.stats = net.stats().ToString();
+  run.total_bytes = net.stats().total_bytes();
+  run.dropped_bytes = net.stats().dropped_bytes();
+  run.churn_drops = net.churn_drops();
+  return run;
+}
+
+TEST(NetworkTest, BroadcastMatchesIndependentSendsUnderFaultsAndChurn) {
+  // A Broadcast leg must draw, charge and report exactly what a Send to
+  // that neighbor would, in the same order, so the two drives are
+  // indistinguishable in every delivery and every ledger entry.
+  for (bool synchronous : {true, false}) {
+    for (bool churn : {false, true}) {
+      SCOPED_TRACE(std::string(synchronous ? "sync" : "async") +
+                   (churn ? " churn" : ""));
+      const FanOutRun fan = RunFanOut(synchronous, churn, /*broadcast=*/true);
+      const FanOutRun sends = RunFanOut(synchronous, churn, false);
+      EXPECT_EQ(fan.log, sends.log);
+      EXPECT_EQ(fan.stats, sends.stats);
+      EXPECT_EQ(fan.total_bytes, sends.total_bytes);
+      EXPECT_EQ(fan.dropped_bytes, sends.dropped_bytes);
+      EXPECT_EQ(fan.churn_drops, sends.churn_drops);
+      // Not vacuous: messages were lost, others arrived truncated, and the
+      // crash window sank legs of its own.
+      EXPECT_GT(fan.dropped_bytes, 0u);
+      EXPECT_TRUE(std::any_of(fan.log.begin(), fan.log.end(),
+                              [](const Delivery& d) { return d.ints < 2; }));
+      EXPECT_EQ(fan.churn_drops > 0, churn);
+    }
+  }
 }
 
 TEST(MessageStatsTest, MergeAndReset) {
