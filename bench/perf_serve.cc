@@ -17,9 +17,13 @@
 // override) with top-level-greppable parameters:
 //   qps              answers served per wall-clock second, all clients
 //   p50_us/p99_us/p999_us  per-op latency percentiles (microseconds)
+//   hit_p50_us, range_miss_p50_us, path_miss_p50_us
+//                    per-stage medians: cache hits, and misses computed on
+//                    the pinned view, split by query kind
 //   cache_hit_rate   hits / (hits+misses) — must be > 0 on the skewed mix
-// plus the full serve counter ledger and a log2 latency histogram in the
-// metrics section.
+// plus the full serve counter ledger and log2 latency histograms in the
+// metrics section: serve.latency_us over every op, and
+// serve.latency_us.{hit,range_miss,path_miss} per stage.
 //
 // `--check-against <baseline.json>` (alias `--check-serve-against`) is the
 // perf gate: exits non-zero when QPS regressed more than 10% against the
@@ -56,6 +60,12 @@ double Percentile(const std::vector<double>& sorted_us, double p) {
   return sorted_us[lo] * (1.0 - frac) + sorted_us[hi] * frac;
 }
 
+/// Where an op's answer came from: the cache, or a computation on the
+/// pinned view (split by query kind).
+enum Stage { kHit, kRangeMiss, kPathMiss, kNumStages };
+const char* const kStageNames[kNumStages] = {"hit", "range_miss",
+                                             "path_miss"};
+
 struct ServeOutcome {
   double qps = 0.0;
   double p50_us = 0.0;
@@ -65,6 +75,7 @@ struct ServeOutcome {
   uint64_t answers = 0;
   uint64_t publishes = 0;
   std::vector<double> latencies_us;  // Merged, sorted.
+  std::vector<double> stage_us[kNumStages];  // Per stage, merged, sorted.
   serve::ServeCounters counters;
 };
 
@@ -102,6 +113,7 @@ ServeOutcome RunServeBench(int nodes, int clients, int ops_per_client,
   serve::WorkloadGenerator gen(ds.features, nodes, wcfg, seed);
 
   std::vector<std::vector<double>> per_client_us(clients);
+  std::vector<std::vector<Stage>> per_client_stage(clients);
   std::atomic<bool> clients_done{false};
 
   const auto bench_t0 = std::chrono::steady_clock::now();
@@ -113,42 +125,40 @@ ServeOutcome RunServeBench(int nodes, int clients, int ops_per_client,
       const std::vector<double> arrivals =
           open_qps > 0.0 ? gen.ArrivalOffsets(c) : std::vector<double>{};
       std::vector<double>& lat = per_client_us[c];
+      std::vector<Stage>& stage = per_client_stage[c];
       lat.reserve(ops.size());
+      stage.reserve(ops.size());
+      const auto serve_op = [&session](const serve::WorkloadOp& op) {
+        if (op.is_range) {
+          return session.frontend().Range(op.feature, op.scalar).from_cache
+                     ? kHit
+                     : kRangeMiss;
+        }
+        return session.frontend()
+                       .SafePath(op.source, op.destination, op.feature,
+                                 op.scalar)
+                       .from_cache
+                   ? kHit
+                   : kPathMiss;
+      };
       const auto start = std::chrono::steady_clock::now();
       for (size_t k = 0; k < ops.size(); ++k) {
+        auto due = std::chrono::steady_clock::time_point::max();
         if (open_qps > 0.0) {
           // Open loop: wait for the scheduled send time; latency includes
           // any backlog behind a slow answer (coordinated-omission-free).
-          const auto due =
-              start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(arrivals[k]));
+          due = start + std::chrono::duration_cast<
+                            std::chrono::steady_clock::duration>(
+                            std::chrono::duration<double>(arrivals[k]));
           std::this_thread::sleep_until(due);
-          const auto t1 = std::chrono::steady_clock::now();
-          if (ops[k].is_range) {
-            session.frontend().Range(ops[k].feature, ops[k].scalar);
-          } else {
-            session.frontend().SafePath(ops[k].source, ops[k].destination,
-                                        ops[k].feature, ops[k].scalar);
-          }
-          const auto t2 = std::chrono::steady_clock::now();
-          lat.push_back(
-              std::chrono::duration<double, std::micro>(t2 - t1).count() +
-              std::chrono::duration<double, std::micro>(
-                  t1 > due ? t1 - due : std::chrono::steady_clock::duration{})
-                  .count());
-        } else {
-          const auto t1 = std::chrono::steady_clock::now();
-          if (ops[k].is_range) {
-            session.frontend().Range(ops[k].feature, ops[k].scalar);
-          } else {
-            session.frontend().SafePath(ops[k].source, ops[k].destination,
-                                        ops[k].feature, ops[k].scalar);
-          }
-          const auto t2 = std::chrono::steady_clock::now();
-          lat.push_back(
-              std::chrono::duration<double, std::micro>(t2 - t1).count());
         }
+        const auto t1 = std::chrono::steady_clock::now();
+        const Stage st = serve_op(ops[k]);
+        const auto t2 = std::chrono::steady_clock::now();
+        stage.push_back(st);
+        lat.push_back(std::chrono::duration<double, std::micro>(
+                          t2 - std::min(t1, due))
+                          .count());
       }
     });
   }
@@ -172,10 +182,17 @@ ServeOutcome RunServeBench(int nodes, int clients, int ops_per_client,
   writer.join();
 
   ServeOutcome out;
-  for (const auto& lat : per_client_us) {
+  for (int c = 0; c < clients; ++c) {
+    const std::vector<double>& lat = per_client_us[c];
     out.latencies_us.insert(out.latencies_us.end(), lat.begin(), lat.end());
+    for (size_t k = 0; k < lat.size(); ++k) {
+      out.stage_us[per_client_stage[c][k]].push_back(lat[k]);
+    }
   }
   std::sort(out.latencies_us.begin(), out.latencies_us.end());
+  for (std::vector<double>& us : out.stage_us) {
+    std::sort(us.begin(), us.end());
+  }
   out.answers = out.latencies_us.size();
   const double secs =
       std::chrono::duration<double>(bench_t1 - bench_t0).count();
@@ -243,6 +260,10 @@ int main(int argc, char** argv) {
   std::printf("p50 latency (us)    %12.1f\n", run.p50_us);
   std::printf("p99 latency (us)    %12.1f\n", run.p99_us);
   std::printf("p99.9 latency (us)  %12.1f\n", run.p999_us);
+  for (int st = 0; st < kNumStages; ++st) {
+    std::printf("%-10s p50 (us) %10.1f  (%zu ops)\n", kStageNames[st],
+                Percentile(run.stage_us[st], 0.50), run.stage_us[st].size());
+  }
   std::printf("cache hit rate      %12.3f\n", run.hit_rate);
   std::printf("publishes overlapped%12llu\n",
               static_cast<unsigned long long>(run.publishes));
@@ -258,11 +279,21 @@ int main(int argc, char** argv) {
   report.SetParam("p50_us", run.p50_us);
   report.SetParam("p99_us", run.p99_us);
   report.SetParam("p999_us", run.p999_us);
+  for (int st = 0; st < kNumStages; ++st) {
+    report.SetParam(std::string(kStageNames[st]) + "_p50_us",
+                    Percentile(run.stage_us[st], 0.50));
+  }
   report.SetParam("cache_hit_rate", run.hit_rate);
   report.SetParam("publishes", run.publishes);
   serve::ExportCounters(run.counters, "serve.", &report.metrics);
   for (double us : run.latencies_us) {
     report.metrics.RecordHistogram("serve.latency_us", us);
+  }
+  for (int st = 0; st < kNumStages; ++st) {
+    const std::string name = std::string("serve.latency_us.") + kStageNames[st];
+    for (double us : run.stage_us[st]) {
+      report.metrics.RecordHistogram(name, us);
+    }
   }
   if (!report.WriteJsonFile(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -444,7 +444,6 @@ void RunMaintenanceTrial(const Scenario& s, CheckOutcome* out,
   int serve_round = 0;
   if (s.serve_enabled) {
     serve::ServeFrontend::Options fopt;
-    fopt.delta = s.delta;
     fopt.cache.shards = 4;
     fopt.cache.capacity_per_shard = s.serve_cache_capacity;
     driver = std::make_unique<serve::MaintenanceServeDriver>(&dm, s.metric,

@@ -162,8 +162,8 @@ void ServeFrontend::Publish(const Clustering& clustering,
   std::sort(epochs.begin(), epochs.end());
 
   ++version_;
-  auto view = ReadView::Build(adjacency, features, clustering, live, metric_,
-                              options_.delta, std::move(epochs), version_);
+  auto view = ReadView::Build(adjacency, features, live, metric_,
+                              std::move(epochs), version_);
   views_built_.fetch_add(1, std::memory_order_relaxed);
   SwapView(view);
   if (options_.enable_cache) {

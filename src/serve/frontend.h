@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/clustering.h"
 #include "serve/read_view.h"
 #include "serve/result_cache.h"
 
@@ -84,7 +85,6 @@ struct ServeCounters {
 class ServeFrontend {
  public:
   struct Options {
-    double delta = 1.0;
     bool enable_cache = true;
     ResultCache::Options cache;
   };

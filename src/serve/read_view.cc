@@ -1,7 +1,6 @@
 #include "serve/read_view.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/status.h"
 
@@ -25,13 +24,12 @@ uint64_t EpochSignature(const EpochVector& epochs) {
 
 std::shared_ptr<const ReadView> ReadView::Build(
     const AdjacencyList& adjacency, const std::vector<Feature>& features,
-    const Clustering& clustering, const std::vector<char>& live,
-    std::shared_ptr<const DistanceMetric> metric, double delta,
-    EpochVector epochs, uint64_t version) {
+    const std::vector<char>& live,
+    std::shared_ptr<const DistanceMetric> metric, EpochVector epochs,
+    uint64_t version) {
   const int n = static_cast<int>(features.size());
   auto view = std::shared_ptr<ReadView>(new ReadView());
   view->metric_ = std::move(metric);
-  view->delta_ = delta;
   view->epochs_ = std::move(epochs);
   view->signature_ = EpochSignature(view->epochs_);
   view->version_ = version;
@@ -45,98 +43,31 @@ std::shared_ptr<const ReadView> ReadView::Build(
   }
   const int m = static_cast<int>(view->original_.size());
   view->compact_adjacency_.resize(m);
-  view->compact_clustering_.root_of.resize(m);
-  // Mid-churn snapshots are allowed to be transiently inconsistent (a live
-  // node pointing at a crashed root, a cluster split by a lost link); the
-  // engine stack requires a structurally sound clustering, so any defect
-  // demotes the view to the exact fallbacks instead of rejecting it —
-  // serving stays available through repair windows.
-  bool clustering_sound = true;
   for (int c = 0; c < m; ++c) {
-    const int i = view->original_[c];
-    for (int nb : adjacency[i]) {
+    for (int nb : adjacency[view->original_[c]]) {
       if (view->remap_[nb] >= 0) {
         view->compact_adjacency_[c].push_back(view->remap_[nb]);
       }
     }
+    // PathQueryEngine walks the same sorted lists, so BFS ties break alike.
     std::sort(view->compact_adjacency_[c].begin(),
               view->compact_adjacency_[c].end());
-    const int r = clustering.root_of[i];
-    if (r >= 0 && r < n && view->remap_[r] >= 0) {
-      view->compact_clustering_.root_of[c] = view->remap_[r];
-    } else {
-      view->compact_clustering_.root_of[c] = c;  // Orphan: self-rooted.
-      clustering_sound = false;
-    }
   }
-  for (int c = 0; clustering_sound && c < m; ++c) {
-    const int r = view->compact_clustering_.root_of[c];
-    if (view->compact_clustering_.root_of[r] != r) clustering_sound = false;
-  }
-  if (clustering_sound) {
-    // Every cluster's live members must stay connected through live links,
-    // or BuildClusterTrees cannot produce valid trees.
-    std::vector<std::vector<char>> members;
-    std::vector<int> slot(m, -1);
-    for (int c = 0; c < m; ++c) {
-      const int r = view->compact_clustering_.root_of[c];
-      if (slot[r] < 0) {
-        slot[r] = static_cast<int>(members.size());
-        members.emplace_back(m, 0);
-      }
-      members[slot[r]][c] = 1;
-    }
-    for (const auto& mask : members) {
-      if (!IsInducedConnected(view->compact_adjacency_, mask)) {
-        clustering_sound = false;
-        break;
-      }
-    }
-  }
-
-  // The backbone-routed engine stack additionally needs a connected live
-  // deployment; after a partitioning churn event the view serves through
-  // the exact fallbacks instead (identical answers, different message
-  // accounting — which the serving layer does not expose anyway).
-  if (m > 0 && clustering_sound && IsConnected(view->compact_adjacency_)) {
-    view->engine_backed_ = true;
-    view->tree_parent_ = BuildClusterTrees(view->compact_clustering_,
-                                           view->compact_adjacency_);
-    view->index_ = std::make_unique<ClusterIndex>(
-        ClusterIndex::Build(view->compact_clustering_, view->tree_parent_,
-                            view->compact_features_, *view->metric_));
-    view->backbone_ = std::make_unique<Backbone>(Backbone::Build(
-        view->compact_clustering_, view->compact_adjacency_, nullptr,
-        &view->compact_features_, view->metric_.get()));
-    view->range_engine_ = std::make_unique<RangeQueryEngine>(
-        view->compact_clustering_, *view->index_, *view->backbone_,
-        view->compact_features_, *view->metric_, delta);
-    view->path_engine_ = std::make_unique<PathQueryEngine>(
-        view->compact_clustering_, *view->index_, *view->backbone_,
-        view->compact_adjacency_, view->compact_features_, *view->metric_,
-        delta);
-  }
+  view->pool_ = FeaturePool(view->compact_features_);
   return view;
 }
 
 RangeAnswer ReadView::Range(const Feature& q, double r) const {
   RangeAnswer out;
   const int m = num_live();
-  if (m == 0) return out;
-  if (engine_backed_) {
-    // Matches are initiator-independent (the engine's exactness is pinned
-    // by the oracle suites); initiator 0 keeps the call deterministic.
-    RangeQueryResult res = range_engine_->Query(0, q, r);
-    out.matches.reserve(res.matches.size());
-    for (int c : res.matches) out.matches.push_back(original_[c]);
-  } else {
-    for (int c = 0; c < m; ++c) {
-      if (metric_->Distance(compact_features_[c], q) <= r) {
-        out.matches.push_back(original_[c]);
-      }
-    }
+  std::vector<double> dist(m);
+  metric_->BatchDistance(q, pool_, dist.data());
+  // RangeOracle / RangeQueryEngine tolerance.
+  const double bound = r + 1e-12;
+  for (int c = 0; c < m; ++c) {
+    if (dist[c] <= bound) out.matches.push_back(original_[c]);
   }
-  // Compaction is order-preserving, so the mapped-back list is ascending
+  // Compaction is order-preserving, so the id-order scan is ascending
   // already; this is a cheap belt-and-braces invariant.
   ELINK_CHECK(std::is_sorted(out.matches.begin(), out.matches.end()));
   return out;
@@ -148,29 +79,25 @@ PathAnswer ReadView::SafePath(int source, int destination,
   if (!node_live(source) || !node_live(destination)) return out;
   const int s = remap_[source];
   const int d = remap_[destination];
-  if (engine_backed_) {
-    PathQueryResult res = path_engine_->Query(s, d, danger, gamma);
-    out.found = res.found;
-    out.path.reserve(res.path.size());
-    for (int c : res.path) out.path.push_back(original_[c]);
-    return out;
-  }
-  // Fallback: BFS over the safe-node-induced live subgraph, with the exact
-  // IsSafe tolerance of PathQueryEngine (index/path_query.cc).
-  const auto safe = [&](int c) {
-    return metric_->Distance(compact_features_[c], danger) >= gamma - 1e-12;
-  };
-  if (!safe(s) || !safe(d)) return out;
   const int m = num_live();
+  // The safe mask: node c is safe iff dist[c] >= gamma - 1e-12 (the
+  // NodeIsSafe / PathQueryEngine::IsSafe tolerance).
+  std::vector<double> dist(m);
+  metric_->BatchDistance(danger, pool_, dist.data());
+  const double bound = gamma - 1e-12;
+  if (!(dist[s] >= bound) || !(dist[d] >= bound)) return out;
+  // FIFO BFS over the safe subgraph.  A node's parent is fixed when it is
+  // discovered, so stopping at the destination's discovery yields the same
+  // parent chain as the engine's search, which stops when it is dequeued.
   std::vector<int> parent(m, -1);
-  std::deque<int> queue;
+  std::vector<int> queue;
+  queue.reserve(m);
   parent[s] = s;
   queue.push_back(s);
-  while (!queue.empty() && parent[d] == -1) {
-    const int u = queue.front();
-    queue.pop_front();
+  for (size_t head = 0; head < queue.size() && parent[d] == -1; ++head) {
+    const int u = queue[head];
     for (int v : compact_adjacency_[u]) {
-      if (parent[v] != -1 || !safe(v)) continue;
+      if (parent[v] != -1 || !(dist[v] >= bound)) continue;
       parent[v] = u;
       queue.push_back(v);
     }

@@ -1,22 +1,24 @@
 // Immutable, snapshot-consistent read view of the clustering state
 // (elink_serve).
 //
-// A ReadView freezes everything a query needs — live topology, features,
-// clustering, cluster trees, M-tree index, leader backbone, and the
-// per-cluster epoch vector the view was published at — into one
+// A ReadView freezes everything a query needs — live topology, features and
+// the per-cluster epoch vector the view was published at — into one
 // shared-ownership object.  Client threads query a view concurrently with
 // no synchronization: every member is built before publication and never
 // mutated afterwards, so the only coordination in the serving layer is the
 // shared_ptr swap in the frontend.
 //
 // Views are built over the *live* deployment (churn-absent nodes excluded):
-// internally ids are compacted to 0..m-1 so the engine stack can be reused
-// unchanged, and every answer is mapped back to original node ids before it
-// leaves the view.  Compaction preserves id order, so mapped-back match
-// lists stay ascending.  When churn has partitioned the live graph the
-// backbone-routed engines are not applicable; the view then degrades to the
-// exact fallbacks (linear scan / safe-node BFS), which answer identically —
-// the coherence suite holds either way.
+// internally ids are compacted to 0..m-1 and every answer is mapped back to
+// original node ids before it leaves the view.  Compaction preserves id
+// order, so mapped-back match lists stay ascending.
+//
+// There is one exact answer path.  A range query is one batched distance
+// scan over the view's SoA feature pool; a path query is the same scan into
+// a safe mask followed by a BFS over the sorted live adjacency.  Both use
+// the tolerances of the in-network engines (index/range_query.cc,
+// index/path_query.cc), so a view answers exactly what those engines answer
+// on the same snapshot — whatever state the clustering is in mid-churn.
 #ifndef ELINK_SERVE_READ_VIEW_H_
 #define ELINK_SERVE_READ_VIEW_H_
 
@@ -25,13 +27,9 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/clustering.h"
-#include "index/backbone.h"
-#include "index/mtree.h"
-#include "index/path_query.h"
-#include "index/range_query.h"
 #include "metric/distance.h"
 #include "metric/feature.h"
+#include "metric/feature_pool.h"
 #include "sim/graph.h"
 
 namespace elink {
@@ -70,23 +68,24 @@ inline bool operator==(const PathAnswer& a, const PathAnswer& b) {
 class ReadView {
  public:
   /// Builds a view from the full-deployment state.  `live` is a 0/1 mask
-  /// (empty means all present); `clustering.root_of` must be valid for
-  /// every live node and every live node's root must itself be live.
-  /// `epochs` is the per-cluster epoch vector the frontend assembled for
-  /// this publication.
+  /// (empty means all present).  `epochs` is the per-cluster epoch vector
+  /// the frontend assembled for this publication.
   static std::shared_ptr<const ReadView> Build(
       const AdjacencyList& adjacency, const std::vector<Feature>& features,
-      const Clustering& clustering, const std::vector<char>& live,
-      std::shared_ptr<const DistanceMetric> metric, double delta,
-      EpochVector epochs, uint64_t version);
+      const std::vector<char>& live,
+      std::shared_ptr<const DistanceMetric> metric, EpochVector epochs,
+      uint64_t version);
 
   // -- Queries (thread-safe: the view is immutable) -----------------------
 
-  /// All live nodes within `r` of `q`, original ids ascending.
+  /// All live nodes within `r` (+1e-12, the engines' tolerance) of `q`,
+  /// original ids ascending.
   RangeAnswer Range(const Feature& q, double r) const;
 
-  /// A safe path between two original node ids; not-found when either
-  /// endpoint is absent or unsafe.
+  /// A shortest-hop path through live nodes at least `gamma` (-1e-12)
+  /// from `danger`: the parent chain of a FIFO BFS from `source` over the
+  /// sorted adjacency, the path PathQueryEngine returns.  Not-found when
+  /// either endpoint is absent or unsafe.
   PathAnswer SafePath(int source, int destination, const Feature& danger,
                       double gamma) const;
 
@@ -96,22 +95,16 @@ class ReadView {
   uint64_t epoch_signature() const { return signature_; }
   /// Monotone publication counter (1 = the first published view).
   uint64_t version() const { return version_; }
-  /// Live node count (the compacted engine domain).
+  /// Live node count (the compacted domain).
   int num_live() const { return static_cast<int>(compact_features_.size()); }
-  /// Number of live nodes in the deployment numbering.
-  int num_nodes() const { return static_cast<int>(remap_.size()); }
-  /// True when the live graph was connected and the full backbone-routed
-  /// engine stack answers queries; false means the exact fallbacks serve.
-  bool engine_backed() const { return engine_backed_; }
   bool node_live(int node) const {
     return node >= 0 && node < static_cast<int>(remap_.size()) &&
            remap_[node] >= 0;
   }
-  /// The compacted clustering (testing hook for invariant checkers).
-  const Clustering& compact_clustering() const { return compact_clustering_; }
   const std::vector<Feature>& compact_features() const {
     return compact_features_;
   }
+  /// Live-induced adjacency in compact ids, each list ascending.
   const AdjacencyList& compact_adjacency() const { return compact_adjacency_; }
   /// Original id of compacted node `c`.
   int original_id(int c) const { return original_[c]; }
@@ -123,17 +116,8 @@ class ReadView {
   std::vector<int> original_;  // compact id -> original id.
   AdjacencyList compact_adjacency_;
   std::vector<Feature> compact_features_;
-  Clustering compact_clustering_;
+  FeaturePool pool_;  // compact_features_ in SoA layout, for BatchDistance.
   std::shared_ptr<const DistanceMetric> metric_;
-  double delta_ = 1.0;
-
-  // Engine stack (present only when engine_backed_).
-  std::vector<int> tree_parent_;
-  std::unique_ptr<ClusterIndex> index_;
-  std::unique_ptr<Backbone> backbone_;
-  std::unique_ptr<RangeQueryEngine> range_engine_;
-  std::unique_ptr<PathQueryEngine> path_engine_;
-  bool engine_backed_ = false;
 
   EpochVector epochs_;
   uint64_t signature_ = 0;

@@ -9,11 +9,7 @@ namespace serve {
 
 ServeSession::ServeSession(ClusteredSensorNetwork* network,
                            const ServeFrontend::Options& options)
-    : network_(network), frontend_(network->metric(), [&] {
-        ServeFrontend::Options o = options;
-        o.delta = network->delta();
-        return o;
-      }()) {
+    : network_(network), frontend_(network->metric(), options) {
   ELINK_CHECK(network_ != nullptr);
   Publish();
 }

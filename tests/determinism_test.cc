@@ -171,9 +171,10 @@ TEST(ParallelTrialRunnerTest, TrialsUnderThreadsMatchSerialBits) {
 // ---------------------------------------------------------------------------
 // Serving-layer replay determinism: a single-threaded serve replay (clients
 // interleaved round-robin with maintenance publishes) digests to the same
-// bits on every run, with caching on or off, and whether the replay runs
-// serially or inside bench worker threads.  Wall-clock latency deliberately
-// never enters the digest — timing lives in bench/perf_serve.cc only.
+// pinned bits on every run, with caching on or off, and whether the replay
+// runs serially or inside bench worker threads.  Wall-clock latency
+// deliberately never enters the digest — timing lives in
+// bench/perf_serve.cc only.
 
 uint64_t ServeReplayDigest(const SensorDataset& ds, uint64_t seed,
                            bool enable_cache) {
@@ -217,6 +218,13 @@ uint64_t ServeReplayDigest(const SensorDataset& ds, uint64_t seed,
   return h;
 }
 
+// Served-answer goldens: recorded while views still answered through the
+// backbone-routed engines, so they pin that the exact scan path serves the
+// same bytes.  Any served range or path id that moves changes a digest.
+constexpr uint64_t kGoldenServeDigestSeed17 = 6348521719372856709ULL;
+const std::vector<uint64_t> kGoldenServeDigestSeeds567 = {
+    3243591939457380998ULL, 15839266960782143684ULL, 7784704872524771893ULL};
+
 TEST(ServeDeterminismTest, ReplayBitsMatchAcrossRunsAndCacheModes) {
   const SensorDataset ds = GoldenDataset();
   const uint64_t cached = ServeReplayDigest(ds, 17, /*enable_cache=*/true);
@@ -226,6 +234,8 @@ TEST(ServeDeterminismTest, ReplayBitsMatchAcrossRunsAndCacheModes) {
   EXPECT_EQ(cached, cached_again);
   // Coherence in digest form: caching must never change a served answer.
   EXPECT_EQ(cached, uncached);
+  EXPECT_EQ(cached, kGoldenServeDigestSeed17);
+  EXPECT_EQ(uncached, kGoldenServeDigestSeed17);
 }
 
 TEST(ServeDeterminismTest, ReplayBitsMatchUnderBenchThreads) {
@@ -240,6 +250,7 @@ TEST(ServeDeterminismTest, ReplayBitsMatchUnderBenchThreads) {
     parallel[i] = ServeReplayDigest(ds, seeds[i], true);
   });
   EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(serial, kGoldenServeDigestSeeds567);
 }
 
 }  // namespace

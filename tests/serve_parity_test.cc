@@ -174,7 +174,6 @@ void RunScenarioWithClients(uint64_t seed) {
                             s.synchronous, s.seed, FaultPlan{}, s.churn);
 
   ServeFrontend::Options fopt;
-  fopt.delta = s.delta;
   fopt.cache.shards = 4;
   fopt.cache.capacity_per_shard = 32;  // Small enough to force eviction.
   MaintenanceServeDriver driver(&dm, s.metric, fopt);

@@ -1,16 +1,25 @@
 // Unit tests for the serving layer (src/serve): canonical cache keys, the
-// epoch-keyed result cache, read-view snapshotting, publish-time epoch
-// diffing, workload determinism, and the facade-backed serving session.
+// epoch-keyed result cache, read-view snapshotting and its differential
+// check against the in-network engines, publish-time epoch diffing,
+// workload determinism, and the facade-backed serving session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
+#include "check/invariants.h"
 #include "check/scenario.h"
+#include "cluster/clustering.h"
 #include "common/rng.h"
 #include "core/clustered_network.h"
 #include "data/terrain.h"
+#include "index/backbone.h"
+#include "index/mtree.h"
+#include "index/path_query.h"
+#include "index/range_query.h"
 #include "metric/distance.h"
+#include "sim/graph.h"
 #include "serve/frontend.h"
 #include "serve/read_view.h"
 #include "serve/result_cache.h"
@@ -123,24 +132,175 @@ std::unique_ptr<ClusteredSensorNetwork> SmallNet(const SensorDataset& ds) {
   return std::move(ClusteredSensorNetwork::Build(ds, opts)).value();
 }
 
-TEST(ReadViewTest, FullViewMatchesEngineAnswers) {
-  const SensorDataset ds = SmallDs();
-  auto net = SmallNet(ds);
-  auto view = ReadView::Build(ds.topology.adjacency, ds.features,
-                              net->clustering(), /*live=*/{}, ds.metric,
-                              net->delta(), {{0, 0}}, 1);
-  EXPECT_TRUE(view->engine_backed());
-  EXPECT_EQ(view->num_live(), 60);
-  Rng rng(3);
-  for (int t = 0; t < 10; ++t) {
-    const Feature q = {rng.Uniform(175.0, 1996.0)};
-    const double r = rng.Uniform(0.2, 1.0) * net->delta();
-    std::vector<int> expected;
-    for (int i = 0; i < 60; ++i) {
-      if (ds.metric->Distance(ds.features[i], q) <= r) expected.push_back(i);
+// The first root (ascending) that has at least one other member.
+int FirstRootWithMembers(const Clustering& c) {
+  const int n = static_cast<int>(c.root_of.size());
+  for (int i = 0; i < n; ++i) {
+    if (c.root_of[i] != i) continue;
+    for (int j = 0; j < n; ++j) {
+      if (j != i && c.root_of[j] == i) return i;
     }
-    EXPECT_EQ(view->Range(q, r).matches, expected) << "trial " << t;
   }
+  return -1;
+}
+
+// Kills up to `count` random non-root nodes, skipping any whose loss would
+// split its cluster or the live graph, so the engines still apply to the
+// churned snapshot.
+std::vector<char> SoundChurnMask(const AdjacencyList& adj, const Clustering& c,
+                                 int count, uint64_t seed) {
+  const int n = static_cast<int>(adj.size());
+  std::vector<char> live(n, 1);
+  Rng rng(seed);
+  int killed = 0;
+  for (int tries = 0; killed < count && tries < 50 * count; ++tries) {
+    const int v = static_cast<int>(rng.UniformInt(n));
+    if (!live[v] || c.root_of[v] == v) continue;
+    live[v] = 0;
+    std::vector<char> cluster(n, 0);
+    for (int i = 0; i < n; ++i) {
+      cluster[i] = live[i] && c.root_of[i] == c.root_of[v];
+    }
+    if (IsInducedConnected(adj, cluster) && IsInducedConnected(adj, live)) {
+      ++killed;
+    } else {
+      live[v] = 1;
+    }
+  }
+  EXPECT_EQ(killed, count);
+  return live;
+}
+
+// Answer classes one differential run exercised.
+struct DiffTally {
+  int predicates = 0;
+  int ranges = 0;
+  int empty_ranges = 0;
+  int paths = 0;
+  int found_paths = 0;
+  int unsafe_endpoints = 0;
+  int self_paths = 0;
+};
+
+// Differential check of a view against the reference its scan path
+// replaced: the backbone-routed engines built over the view's compacted
+// snapshot, with ids mapped through original_id.  `clustering` is the
+// deployment clustering and must be sound on the live graph.  Predicates
+// are WorkloadGenerator draws; each path predicate is also asked from its
+// source to itself.
+void ExpectViewMatchesEngines(const SensorDataset& ds,
+                              const Clustering& clustering,
+                              const std::vector<char>& live, double delta,
+                              int predicates, uint64_t seed, DiffTally* t) {
+  const int n = ds.topology.num_nodes();
+  auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
+                              ds.metric, {{0, 0}}, 1);
+  const int m = view->num_live();
+  std::vector<int> remap(n, -1);
+  for (int c = 0; c < m; ++c) remap[view->original_id(c)] = c;
+  Clustering compact;
+  for (int c = 0; c < m; ++c) {
+    compact.root_of.push_back(remap[clustering.root_of[view->original_id(c)]]);
+  }
+  const AdjacencyList& adj = view->compact_adjacency();
+  const std::vector<Feature>& f = view->compact_features();
+  const DistanceMetric& metric = *ds.metric;
+  const std::vector<int> tree_parent = BuildClusterTrees(compact, adj);
+  const ClusterIndex index =
+      ClusterIndex::Build(compact, tree_parent, f, metric);
+  const Backbone backbone =
+      Backbone::Build(compact, adj, nullptr, &f, ds.metric.get());
+  const RangeQueryEngine range(compact, index, backbone, f, metric, delta);
+  const PathQueryEngine path(compact, index, backbone, adj, f, metric, delta);
+  const auto to_original = [&view](std::vector<int> ids) {
+    for (int& id : ids) id = view->original_id(id);
+    return ids;
+  };
+
+  WorkloadConfig cfg;
+  cfg.predicate_pool = predicates;
+  const WorkloadGenerator gen(ds.features, n, cfg, seed);
+  t->predicates += static_cast<int>(gen.pool().size());
+  for (const WorkloadOp& op : gen.pool()) {
+    if (op.is_range) {
+      const RangeAnswer got = view->Range(op.feature, op.scalar);
+      EXPECT_EQ(got.matches,
+                to_original(range.Query(0, op.feature, op.scalar).matches))
+          << "n=" << n << " m=" << m << " range r=" << op.scalar;
+      ++t->ranges;
+      if (got.matches.empty()) ++t->empty_ranges;
+      continue;
+    }
+    for (const int dst : {op.destination, op.source}) {
+      const PathAnswer got =
+          view->SafePath(op.source, dst, op.feature, op.scalar);
+      ++t->paths;
+      if (dst == op.source) ++t->self_paths;
+      if (remap[op.source] < 0 || remap[dst] < 0) {
+        EXPECT_FALSE(got.found);
+        EXPECT_TRUE(got.path.empty());
+        continue;
+      }
+      const int s = remap[op.source];
+      const int d = remap[dst];
+      if (!path.IsSafe(s, op.feature, op.scalar) ||
+          !path.IsSafe(d, op.feature, op.scalar)) {
+        ++t->unsafe_endpoints;
+      }
+      const PathQueryResult want = path.Query(s, d, op.feature, op.scalar);
+      EXPECT_EQ(got.found, want.found)
+          << "n=" << n << " m=" << m << " path " << op.source << "->" << dst;
+      EXPECT_EQ(got.path, to_original(want.path))
+          << "n=" << n << " m=" << m << " path " << op.source << "->" << dst;
+      if (got.found) ++t->found_paths;
+    }
+  }
+}
+
+struct DiffInput {
+  SensorDataset ds;
+  std::unique_ptr<ClusteredSensorNetwork> net;
+};
+
+// The 60-node terrain and the 2,500-node MakeTerrainDataset default.
+std::vector<DiffInput> DiffInputs() {
+  std::vector<DiffInput> inputs;
+  inputs.push_back({SmallDs(), nullptr});
+  inputs.push_back({std::move(MakeTerrainDataset(TerrainConfig{})).value(),
+                    nullptr});
+  for (DiffInput& in : inputs) in.net = SmallNet(in.ds);
+  return inputs;
+}
+
+void ExpectTallyCoversEveryClass(const DiffTally& t) {
+  EXPECT_GE(t.predicates, 1000);
+  EXPECT_GT(t.empty_ranges, 0);
+  EXPECT_LT(t.empty_ranges, t.ranges);
+  EXPECT_GT(t.found_paths, 0);
+  EXPECT_GT(t.paths - t.found_paths, 0);
+  EXPECT_GT(t.unsafe_endpoints, 0);
+  EXPECT_GT(t.self_paths, 0);
+}
+
+TEST(ReadViewTest, FullViewMatchesEngineAnswers) {
+  DiffTally tally;
+  for (const DiffInput& in : DiffInputs()) {
+    ExpectViewMatchesEngines(in.ds, in.net->clustering(), /*live=*/{},
+                             in.net->delta(), 600, 31, &tally);
+  }
+  ExpectTallyCoversEveryClass(tally);
+}
+
+TEST(ReadViewTest, ChurnedViewMatchesEngineAnswers) {
+  DiffTally tally;
+  for (const DiffInput& in : DiffInputs()) {
+    const int n = in.ds.topology.num_nodes();
+    const std::vector<char> live = SoundChurnMask(
+        in.ds.topology.adjacency, in.net->clustering(), n / 10, 43);
+    ExpectViewMatchesEngines(in.ds, in.net->clustering(), live,
+                             in.net->delta(), 600, 47, &tally);
+  }
+  ExpectTallyCoversEveryClass(tally);
 }
 
 TEST(ReadViewTest, ChurnedViewCompactsAndMapsBack) {
@@ -158,8 +318,8 @@ TEST(ReadViewTest, ChurnedViewCompactsAndMapsBack) {
     }
   }
   ASSERT_EQ(killed, 5);
-  auto view = ReadView::Build(ds.topology.adjacency, ds.features, c, live,
-                              ds.metric, net->delta(), {{0, 0}}, 1);
+  auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
+                              ds.metric, {{0, 0}}, 1);
   EXPECT_EQ(view->num_live(), 55);
   // Dead nodes never appear in answers; live answers are in original ids.
   const Feature q = ds.features[0];
@@ -185,32 +345,20 @@ TEST(ReadViewTest, MidChurnOrphanRootServesExactFallback) {
   // Pinned finding from the serve_parity_test sweep (scenario seed 1): a
   // mid-churn CurrentClustering() snapshot can contain a live node whose
   // root has crashed — the repair protocol simply has not reached it yet.
-  // ReadView::Build used to ELINK_CHECK-crash on the dangling root; it must
-  // instead demote the view to the exact fallbacks and keep serving.
+  // ReadView::Build used to ELINK_CHECK-crash on the dangling root; a view
+  // never reads the clustering now, so it must build and keep serving exact
+  // answers.
   const SensorDataset ds = SmallDs();
   auto net = SmallNet(ds);
-  Clustering c = net->clustering();
   // Kill one root while its members still point at it.
-  int dead_root = -1;
-  for (int i = 0; i < 60; ++i) {
-    if (c.root_of[i] == i) {
-      for (int j = 0; j < 60; ++j) {
-        if (j != i && c.root_of[j] == i) {
-          dead_root = i;
-          break;
-        }
-      }
-    }
-    if (dead_root >= 0) break;
-  }
+  const int dead_root = FirstRootWithMembers(net->clustering());
   ASSERT_GE(dead_root, 0) << "dataset produced only singleton clusters";
   std::vector<char> live(60, 1);
   live[dead_root] = 0;
-  auto view = ReadView::Build(ds.topology.adjacency, ds.features, c, live,
-                              ds.metric, net->delta(), {{0, 7}}, 3);
+  auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
+                              ds.metric, {{0, 7}}, 3);
   ASSERT_EQ(view->num_live(), 59);
-  EXPECT_FALSE(view->engine_backed());  // Demoted, not crashed.
-  // Fallback answers are still exact against the linear oracle.
+  // Answers are still exact against the linear oracle.
   const Feature q = ds.features[dead_root];
   const double r = 3.0 * net->delta();
   std::vector<int> expected;
@@ -220,6 +368,36 @@ TEST(ReadViewTest, MidChurnOrphanRootServesExactFallback) {
     }
   }
   EXPECT_EQ(view->Range(q, r).matches, expected);
+}
+
+TEST(ReadViewTest, RangeToleranceDoesNotDependOnChurn) {
+  // Regression: a view whose clustering had an orphaned cluster used to
+  // answer through a fallback that tested d <= r, while the full view,
+  // RangeQueryEngine and RangeOracle test d <= r + 1e-12 — so a node 5e-13
+  // outside the radius was served or not depending on churn.
+  const SensorDataset ds = SmallDs();
+  auto net = SmallNet(ds);
+  const int dead_root = FirstRootWithMembers(net->clustering());
+  ASSERT_GE(dead_root, 0);
+  ASSERT_NE(dead_root, 9);
+  std::vector<char> live(60, 1);
+  live[dead_root] = 0;
+  const Feature q = ds.features[dead_root];
+  const double r = ds.metric->Distance(q, ds.features[9]) - 5e-13;
+  const std::vector<int> oracle = check::RangeOracle(ds.features, *ds.metric,
+                                                     q, r);
+  ASSERT_NE(std::find(oracle.begin(), oracle.end(), 9), oracle.end());
+  std::vector<int> live_oracle;
+  for (int id : oracle) {
+    if (live[id]) live_oracle.push_back(id);
+  }
+
+  auto full = ReadView::Build(ds.topology.adjacency, ds.features, {},
+                              ds.metric, {{0, 0}}, 1);
+  auto churned = ReadView::Build(ds.topology.adjacency, ds.features, live,
+                                 ds.metric, {{0, 1}}, 2);
+  EXPECT_EQ(full->Range(q, r).matches, oracle);
+  EXPECT_EQ(churned->Range(q, r).matches, live_oracle);
 }
 
 // -- Frontend epoch bookkeeping ---------------------------------------------
