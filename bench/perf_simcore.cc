@@ -107,7 +107,7 @@ FloodOutcome DeliveryFlood(uint64_t num_events) {
   ctx.arena = &arena;
   q.SetInlineHandlers(&OnFloodDelivery, &OnFloodTimer, &ctx);
   Message m;
-  m.category = "perf.flood";
+  m.category = CategoryIdOf<"perf.flood">();
   m.doubles = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
   ctx.payload = arena.Create(std::move(m));
   // Seed chains across a few "rounds" so several buckets are live at once.
@@ -145,7 +145,7 @@ FloodOutcome EventFlood(uint64_t num_events) {
   // (~32 bytes of captures).
   const auto payload = std::make_shared<const Message>([] {
     Message m;
-    m.category = "perf.flood";
+    m.category = CategoryIdOf<"perf.flood">();
     m.doubles = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
     return m;
   }());
@@ -204,7 +204,7 @@ double SendFlood(uint64_t num_sends) {
   net.InstallNodes(
       [&budget](int) { return std::make_unique<GossipNode>(&budget); });
   Message seed_msg;
-  seed_msg.category = "perf.gossip";
+  seed_msg.category = CategoryIdOf<"perf.gossip">();
   seed_msg.doubles = {1.0, 2.0, 3.0, 4.0};
   seed_msg.ints = {1, 2};
   const auto t0 = std::chrono::steady_clock::now();

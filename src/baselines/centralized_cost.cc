@@ -29,7 +29,9 @@ void CentralizedRawUpdater::Measurement(int node) {
   ELINK_CHECK(hops >= 0);
   // One raw measurement per hop: a minimal frame with a single coefficient.
   const uint64_t frame = wire::NominalFrameSize(0, 1);
-  for (int h = 0; h < hops; ++h) stats_.Record("central_raw", 1, frame);
+  for (int h = 0; h < hops; ++h) {
+    stats_.Record(CategoryIdOf<"central_raw">(), 1, frame);
+  }
 }
 
 CentralizedModelUpdater::CentralizedModelUpdater(
@@ -51,7 +53,9 @@ bool CentralizedModelUpdater::UpdateFeature(int node, const Feature& updated) {
   ELINK_CHECK(hops >= 0);
   const int dim = static_cast<int>(updated.size());
   const uint64_t frame = wire::NominalFrameSize(0, updated.size());
-  for (int h = 0; h < hops; ++h) stats_.Record("central_model", dim, frame);
+  for (int h = 0; h < hops; ++h) {
+    stats_.Record(CategoryIdOf<"central_model">(), dim, frame);
+  }
   last_sent_[node] = updated;
   return true;
 }

@@ -87,18 +87,22 @@ Result<HierarchicalResult> HierarchicalClustering(
       // Boundary nodes exchange (root feature, diameter) across the edge:
       // dim + 1 coefficients framed with the sender's root id.
       const uint64_t exchange_frame = wire::NominalFrameSize(1, dim + 1);
-      result.stats.Record("hc_boundary_exchange", dim + 1, exchange_frame);
-      result.stats.Record("hc_boundary_exchange", dim + 1, exchange_frame);
+      result.stats.Record(CategoryIdOf<"hc_boundary_exchange">(),
+                          dim + 1, exchange_frame);
+      result.stats.Record(CategoryIdOf<"hc_boundary_exchange">(),
+                          dim + 1, exchange_frame);
       // Each side relays the candidate info to its cluster leader.
       const int hops_i =
           ClusterTreeHops(adjacency, root_of, witness.first, ri);
       const int hops_j =
           ClusterTreeHops(adjacency, root_of, witness.second, rj);
       for (int h = 0; h < hops_i; ++h) {
-        result.stats.Record("hc_leader_relay", dim + 1, exchange_frame);
+        result.stats.Record(CategoryIdOf<"hc_leader_relay">(),
+                            dim + 1, exchange_frame);
       }
       for (int h = 0; h < hops_j; ++h) {
-        result.stats.Record("hc_leader_relay", dim + 1, exchange_frame);
+        result.stats.Record(CategoryIdOf<"hc_leader_relay">(),
+                            dim + 1, exchange_frame);
       }
       const double d_roots =
           metric.Distance(features[ri], features[rj]);
@@ -153,7 +157,7 @@ Result<HierarchicalResult> HierarchicalClustering(
       const size_t total =
           members[keep].size() + members[drop].size();
       for (size_t m = 0; m + 1 < total + 1; ++m) {
-        result.stats.Record("hc_merge_broadcast", 1,
+        result.stats.Record(CategoryIdOf<"hc_merge_broadcast">(), 1,
                             wire::NominalFrameSize(1, 0));
       }
       // Radius update per the paper's fitness formula: the new leader's

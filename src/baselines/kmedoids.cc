@@ -167,8 +167,9 @@ Result<KMedoidsResult> KMedoidsDeltaClustering(
     // (1 unit up the tree).
     for (int it = 0; it < pam.iterations; ++it) {
       for (int e = 0; e + 1 < n; ++e) {
-        result.hypothetical_stats.Record("kmedoids_broadcast", k * dim);
-        result.hypothetical_stats.Record("kmedoids_report", 1);
+        result.hypothetical_stats.Record(CategoryIdOf<"kmedoids_broadcast">(),
+                                         k * dim);
+        result.hypothetical_stats.Record(CategoryIdOf<"kmedoids_report">(), 1);
       }
     }
     Clustering out;

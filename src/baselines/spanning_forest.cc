@@ -31,7 +31,7 @@ Result<SpanningForestResult> SpanningForestClustering(
   std::vector<double> dists;
   for (int i = 0; i < n; ++i) {
     for (size_t nb = 0; nb < adjacency[i].size(); ++nb) {
-      result.stats.Record("sf_feature_exchange", dim,
+      result.stats.Record(CategoryIdOf<"sf_feature_exchange">(), dim,
                           wire::NominalFrameSize(0, dim));
     }
     cand.clear();
@@ -80,7 +80,7 @@ Result<SpanningForestResult> SpanningForestClustering(
     const int p = result.forest_parent[i];
     if (p == i) continue;  // Forest root sends nothing.
     // Child i reports (height, feature) to its parent: height + dim units.
-    result.stats.Record("sf_height_report", 1 + dim,
+    result.stats.Record(CategoryIdOf<"sf_height_report">(), 1 + dim,
                         wire::NominalFrameSize(0, 1 + dim));
     const double h = height[i] + metric.Distance(features[i], features[p]);
     bool detach_self = false;
@@ -88,14 +88,14 @@ Result<SpanningForestResult> SpanningForestClustering(
       if (h >= height[p] || branches[p].empty()) {
         // The new branch is the heavier one: detach the arriving subtree.
         is_cluster_root[i] = 1;
-        result.stats.Record("sf_detach", 1);
+        result.stats.Record(CategoryIdOf<"sf_detach">(), 1);
         detach_self = true;
         break;
       }
       // Detach the heaviest accepted branch and re-check.
       auto it = std::max_element(branches[p].begin(), branches[p].end());
       is_cluster_root[it->second] = 1;
-      result.stats.Record("sf_detach", 1);
+      result.stats.Record(CategoryIdOf<"sf_detach">(), 1);
       branches[p].erase(it);
       height[p] = max_branch(p);
     }

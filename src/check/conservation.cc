@@ -79,7 +79,7 @@ void ConservationLedger::OnTimerFire(double now, int node, int timer_id) {
 }
 
 void ConservationLedger::OnDecodeError(double now, int node,
-                                       const std::string& category) {
+                                       CategoryId category) {
   ++decode_errors_;
   ++Cat(category).decode_errors;
   if (next_ != nullptr) next_->OnDecodeError(now, node, category);

@@ -95,8 +95,7 @@ class ConservationLedger : public SimObserver {
   void OnDeliver(double now, int from, int to, const Message& msg) override;
   void OnDrop(double at, int from, int to, const Message& msg) override;
   void OnTimerFire(double now, int node, int timer_id) override;
-  void OnDecodeError(double now, int node,
-                     const std::string& category) override;
+  void OnDecodeError(double now, int node, CategoryId category) override;
   void OnRetransmit(double now, int node, int to, const Message& msg,
                     int attempt) override;
   void OnTransportAck(double now, int node, int to, long long seq) override;
@@ -111,7 +110,9 @@ class ConservationLedger : public SimObserver {
                 bool hit_event_cap) override;
 
  private:
-  Category& Cat(const std::string& category) { return by_category_[category]; }
+  Category& Cat(CategoryId category) {
+    return by_category_[CategoryName(category)];
+  }
 
   uint64_t logical_sends_ = 0;
   uint64_t logical_units_ = 0;

@@ -128,7 +128,6 @@ std::optional<World> BuildWorld(const Scenario& s, CheckOutcome* out) {
 
 Message RandomWireMessage(Rng* rng) {
   Message m;
-  m.category = "wirefuzz";
   m.type = static_cast<int>(rng->UniformInt(2000));
   const int nints = static_cast<int>(rng->UniformInt(13));
   for (int i = 0; i < nints; ++i) {

@@ -123,7 +123,7 @@ class ElinkNode : public proto::ProtocolNode {
     if (msg.feature.size() != my_feature().size()) {
       // Truncated in flight to a still-decodable but wrong-dimensional
       // feature: a protocol-level decode error, not a metric crash.
-      RejectBadFields(w::Expand::kCategory);
+      RejectBadFields<w::Expand>();
       return;
     }
     const int offered_root = static_cast<int>(msg.root);

@@ -100,30 +100,6 @@ void ForEachSchema(F&& fn) {
   fn(Start{});
 }
 
-/// The accounting category of packet id `type` within this family, or null
-/// for an id the family does not define — how a byte-level receiver
-/// re-derives the category the radio frame deliberately omits.
-inline const char* CategoryForType(int type) {
-  switch (type) {
-    case Expand::kType:
-      return Expand::kCategory;
-    case Ack1::kType:
-      return Ack1::kCategory;
-    case Nack::kType:
-      return Nack::kCategory;
-    case Ack2::kType:
-      return Ack2::kCategory;
-    case Phase1::kType:
-      return Phase1::kCategory;
-    case Phase2::kType:
-      return Phase2::kCategory;
-    case Start::kType:
-      return Start::kCategory;
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace elink_wire
 }  // namespace elink
 

@@ -98,10 +98,10 @@ void MaintenanceSession::UpdateFeature(int node, const Feature& updated) {
   maint_wire::RootFeature reply;
   reply.feature = live_root;
   for (int h = 0; h < hops; ++h) {
-    stats_.Record("update_escalate", 1, HopBytes(request));
+    stats_.Record(CategoryIdOf<"update_escalate">(), 1, HopBytes(request));
   }
   for (int h = 0; h < hops; ++h) {
-    stats_.Record("update_escalate", dim, HopBytes(reply));
+    stats_.Record(CategoryIdOf<"update_escalate">(), dim, HopBytes(reply));
   }
   stored_root_[node] = live_root;
   if (metric_->Distance(updated, live_root) <= config_.delta + 1e-12) {
@@ -130,7 +130,7 @@ void MaintenanceSession::HandleRootUpdate(int root) {
   maint_wire::Push push;
   push.feature = updated;
   for (size_t e = 0; e < members.size(); ++e) {
-    stats_.Record("update_root_push", dim, HopBytes(push));
+    stats_.Record(CategoryIdOf<"update_root_push">(), dim, HopBytes(push));
   }
   // Members refresh their copy and re-evaluate membership.
   std::vector<int> leavers;
@@ -157,8 +157,10 @@ void MaintenanceSession::DetachAndRelocate(int node) {
     probe_reply.root = clustering_.root_of[nb];
     probe_reply.settled = 1;
     probe_reply.stored_root = stored_root_[nb];
-    stats_.Record("update_merge_probe", 1, HopBytes(maint_wire::Probe{}));
-    stats_.Record("update_merge_probe", dim, HopBytes(probe_reply));
+    stats_.Record(CategoryIdOf<"update_merge_probe">(),
+                  1, HopBytes(maint_wire::Probe{}));
+    stats_.Record(CategoryIdOf<"update_merge_probe">(),
+                  dim, HopBytes(probe_reply));
     if (metric_->Distance(current_[node], stored_root_[nb]) <=
         config_.merge_fraction * config_.delta + 1e-12) {
       clustering_.root_of[node] = clustering_.root_of[nb];
@@ -205,7 +207,7 @@ void MaintenanceSession::RepairClusterAround(int old_root) {
     clustering_.root_of[i] = nr;
     maint_wire::RootChanged promote;
     promote.root = nr;
-    stats_.Record("update_repair", 1, HopBytes(promote));
+    stats_.Record(CategoryIdOf<"update_repair">(), 1, HopBytes(promote));
   }
   for (const auto& [c, nr] : fragment_root) {
     (void)c;

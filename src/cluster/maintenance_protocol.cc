@@ -42,7 +42,7 @@ class MaintNode : public proto::ProtocolNode {
     });
     OnMsg<w::RootFeature>([this](int, const w::RootFeature& m) {
       if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::RootFeature::kCategory);
+        RejectBadFields<w::RootFeature>();
         return;
       }
       stored_root_ = m.feature;
@@ -54,7 +54,7 @@ class MaintNode : public proto::ProtocolNode {
     });
     OnMsg<w::Push>([this](int from, const w::Push& m) {
       if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::Push::kCategory);
+        RejectBadFields<w::Push>();
         return;
       }
       // Pushes flow down the tree; under churn, ignore one from anyone but
@@ -80,7 +80,7 @@ class MaintNode : public proto::ProtocolNode {
     });
     OnMsg<w::ProbeReply>([this](int from, const w::ProbeReply& m) {
       if (m.stored_root.size() != feature_.size()) {
-        RejectBadFields(w::ProbeReply::kCategory);
+        RejectBadFields<w::ProbeReply>();
         return;
       }
       // Only the neighbor we are currently waiting on may answer; replies
@@ -137,7 +137,7 @@ class MaintNode : public proto::ProtocolNode {
     });
     OnMsg<w::VerifyAck>([this](int, const w::VerifyAck& m) {
       if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::VerifyAck::kCategory);
+        RejectBadFields<w::VerifyAck>();
         return;
       }
       if (m.seq != verify_waiting_seq_) return;  // A superseded walk.
@@ -178,7 +178,7 @@ class MaintNode : public proto::ProtocolNode {
     });
     OnMsg<w::RootChanged>([this](int from, const w::RootChanged& m) {
       if (m.feature.size() != feature_.size()) {
-        RejectBadFields(w::RootChanged::kCategory);
+        RejectBadFields<w::RootChanged>();
         return;
       }
       // Tree-authority guard (churn only): relabels travel strictly down

@@ -183,40 +183,6 @@ void ForEachSchema(F&& fn) {
   fn(VerifyGone{});
 }
 
-/// The accounting category of packet id `type` within this family, or null
-/// for an id the family does not define — how a byte-level receiver
-/// re-derives the category the radio frame deliberately omits.
-inline const char* CategoryForType(int type) {
-  switch (type) {
-    case FetchUp::kType:
-      return FetchUp::kCategory;
-    case RootFeature::kType:
-      return RootFeature::kCategory;
-    case Push::kType:
-      return Push::kCategory;
-    case Probe::kType:
-      return Probe::kCategory;
-    case ProbeReply::kType:
-      return ProbeReply::kCategory;
-    case Leave::kType:
-      return Leave::kCategory;
-    case Attach::kType:
-      return Attach::kCategory;
-    case Orphan::kType:
-      return Orphan::kCategory;
-    case RootChanged::kType:
-      return RootChanged::kCategory;
-    case EpochReport::kType:
-      return EpochReport::kCategory;
-    case VerifyAck::kType:
-      return VerifyAck::kCategory;
-    case VerifyGone::kType:
-      return VerifyGone::kCategory;
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace maint_wire
 }  // namespace elink
 

@@ -95,7 +95,7 @@ void ClusteredSensorNetwork::EnsureIndex() {
     // Category detail is preserved by merging the whole ledger once at the
     // end of a run; here we only need the totals to stay consistent, so we
     // re-merge the difference under a single category.
-    delta_stats.Record("maintenance",
+    delta_stats.Record(CategoryIdOf<"maintenance">(),
                        static_cast<int>(seen - maintenance_units_seen_));
     stats_.Merge(delta_stats);
     maintenance_units_seen_ = seen;

@@ -37,8 +37,8 @@ Backbone Backbone::Build(const Clustering& clustering,
       cluster_adj[rv].insert(ru);
       if (build_stats != nullptr &&
           seen_pairs.insert(std::minmax(ru, rv)).second) {
-        build_stats->Record("backbone_build", 1);
-        build_stats->Record("backbone_build", 1);
+        build_stats->Record(CategoryIdOf<"backbone_build">(), 1);
+        build_stats->Record(CategoryIdOf<"backbone_build">(), 1);
       }
     }
   }
@@ -129,7 +129,7 @@ Backbone Backbone::Build(const Clustering& clustering,
       if (build_stats != nullptr) {
         // Tree agreement: each leader notifies its chosen parent.
         for (int h = 0; h < hops; ++h) {
-          build_stats->Record("backbone_build", 1);
+          build_stats->Record(CategoryIdOf<"backbone_build">(), 1);
         }
       }
     }

@@ -63,7 +63,7 @@ ClusterIndex ClusterIndex::Build(const Clustering& clustering,
                                index.subtree_[child].end());
       if (build_stats != nullptr) {
         // Child reports (routing feature, radius) to its parent.
-        build_stats->Record("mtree_build", dim + 1);
+        build_stats->Record(CategoryIdOf<"mtree_build">(), dim + 1);
       }
     }
     std::sort(index.subtree_[i].begin(), index.subtree_[i].end());

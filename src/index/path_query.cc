@@ -82,7 +82,7 @@ void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
     }
     const int hops = backbone_.route_hops(leader, child);
     for (int h = 0; h < hops; ++h) {
-      result->stats.Record("path_backbone", units);
+      result->stats.Record(CategoryIdOf<"path_backbone">(), units);
     }
     VisitBackbone(child, danger, gamma, safe, result);
   }
@@ -111,7 +111,7 @@ void PathQueryEngine::ClassifySubtree(int node, const Feature& danger,
   (*safe)[node] = IsSafe(node, danger, gamma) ? 1 : 0;
   for (int child : index_.children(node)) {
     // Forwarding the danger feature one level down the cluster tree.
-    result->stats.Record("path_drilldown", feature_dim_ + 1);
+    result->stats.Record(CategoryIdOf<"path_drilldown">(), feature_dim_ + 1);
     ClassifySubtree(child, danger, gamma, safe, result);
   }
 }
@@ -125,7 +125,7 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
 
   // Source -> its cluster root.
   for (int d = 0; d < index_.depth(source); ++d) {
-    result.stats.Record("path_route", units);
+    result.stats.Record(CategoryIdOf<"path_route">(), units);
   }
   // If the source's own cluster is conclusively unsafe, the root suppresses
   // the query immediately (Section 7.3).
@@ -146,7 +146,9 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
   for (int cur = clustering_.root_of[source];
        backbone_.tree_parent(cur) != cur; cur = backbone_.tree_parent(cur)) {
     const int hops = backbone_.route_hops(cur, backbone_.tree_parent(cur));
-    for (int h = 0; h < hops; ++h) result.stats.Record("path_route", units);
+    for (int h = 0; h < hops; ++h) {
+      result.stats.Record(CategoryIdOf<"path_route">(), units);
+    }
   }
   std::vector<char> safe(n, 0);
   VisitBackbone(backbone_.tree_root(), danger, gamma, &safe, &result);
@@ -195,12 +197,12 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
     if (p != leader) {
       const int hops = backbone_.route_hops(leader, p);
       for (int h = 0; h < hops; ++h) {
-        result.stats.Record("path_search", 1);
+        result.stats.Record(CategoryIdOf<"path_search">(), 1);
       }
     }
   }
   for (size_t h = 0; h + 1 < result.path.size(); ++h) {
-    result.stats.Record("path_trace", 1);
+    result.stats.Record(CategoryIdOf<"path_trace">(), 1);
   }
   return result;
 }
@@ -222,7 +224,7 @@ PathQueryResult PathQueryEngine::BfsBaseline(int source, int destination,
     const int u = queue.front();
     queue.pop_front();
     for (size_t nb = 0; nb < adjacency_[u].size(); ++nb) {
-      result.stats.Record("bfs_flood", feature_dim_ + 1);
+      result.stats.Record(CategoryIdOf<"bfs_flood">(), feature_dim_ + 1);
     }
     for (int v : adjacency_[u]) {
       if (parent[v] < 0 && IsSafe(v, danger, gamma)) {
@@ -242,7 +244,7 @@ PathQueryResult PathQueryEngine::BfsBaseline(int source, int destination,
   result.path.push_back(source);
   std::reverse(result.path.begin(), result.path.end());
   for (size_t h = 0; h + 1 < result.path.size(); ++h) {
-    result.stats.Record("path_trace", 1);
+    result.stats.Record(CategoryIdOf<"path_trace">(), 1);
   }
   return result;
 }

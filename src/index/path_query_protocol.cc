@@ -383,12 +383,12 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
     if (p != leader) {
       const int hops = backbone_.route_hops(leader, p);
       for (int h = 0; h < hops; ++h) {
-        result.stats.Record("path_search", 1);
+        result.stats.Record(CategoryIdOf<"path_search">(), 1);
       }
     }
   }
   for (size_t h = 0; h + 1 < result.path.size(); ++h) {
-    result.stats.Record("path_trace", 1);
+    result.stats.Record(CategoryIdOf<"path_trace">(), 1);
   }
   return result;
 }

@@ -100,28 +100,6 @@ void ForEachSchema(F&& fn) {
   fn(PathVisitDone{});
 }
 
-/// The accounting category of packet id `type` within this family, or null
-/// for an id the family does not define — how a byte-level receiver
-/// re-derives the category the radio frame deliberately omits.
-inline const char* CategoryForType(int type) {
-  switch (type) {
-    case PathUp::kType:
-      return PathUp::kCategory;
-    case PathRoute::kType:
-      return PathRoute::kCategory;
-    case PathVisit::kType:
-      return PathVisit::kCategory;
-    case PathDrill::kType:
-      return PathDrill::kCategory;
-    case PathDrillDone::kType:
-      return PathDrillDone::kCategory;
-    case PathVisitDone::kType:
-      return PathVisitDone::kCategory;
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace path_wire
 }  // namespace elink
 

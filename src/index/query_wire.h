@@ -157,34 +157,6 @@ void ForEachSchema(F&& fn) {
   fn(Answer{});
 }
 
-/// The accounting category of packet id `type` within this family, or null
-/// for an id the family does not define — how a byte-level receiver
-/// re-derives the category the radio frame deliberately omits.
-inline const char* CategoryForType(int type) {
-  switch (type) {
-    case Up::kType:
-      return Up::kCategory;
-    case ToBackboneRoot::kType:
-      return ToBackboneRoot::kCategory;
-    case Visit::kType:
-      return Visit::kCategory;
-    case BackboneInclude::kType:
-      return BackboneInclude::kCategory;
-    case BackboneReply::kType:
-      return BackboneReply::kCategory;
-    case Descend::kType:
-      return Descend::kCategory;
-    case DescendInclude::kType:
-      return DescendInclude::kCategory;
-    case DescendReply::kType:
-      return DescendReply::kCategory;
-    case Answer::kType:
-      return Answer::kCategory;
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace query_wire
 }  // namespace elink
 

@@ -73,15 +73,16 @@ RangeQueryResult RangeQueryEngine::Query(int initiator, const Feature& q,
   // 1. Initiator -> its cluster root (over the cluster tree).
   const int init_root = clustering_.root_of[initiator];
   for (int d = 0; d < index_.depth(initiator); ++d) {
-    result.stats.Record("query_route", query_units);
+    result.stats.Record(CategoryIdOf<"query_route">(), query_units);
   }
   // 2. Initiator's root -> the backbone tree root along the backbone.
   for (int cur = init_root; backbone_.tree_parent(cur) != cur;
        cur = backbone_.tree_parent(cur)) {
     const int hops = backbone_.route_hops(cur, backbone_.tree_parent(cur));
     for (int h = 0; h < hops; ++h) {
-      result.stats.Record("query_route", query_units);
-      result.stats.Record("query_collect", 1);  // Final aggregate back.
+      result.stats.Record(CategoryIdOf<"query_route">(), query_units);
+      // Final aggregate back.
+      result.stats.Record(CategoryIdOf<"query_collect">(), 1);
     }
   }
 
@@ -93,7 +94,7 @@ RangeQueryResult RangeQueryEngine::Query(int initiator, const Feature& q,
 
   // 4. Initiator receives the aggregate from its root.
   for (int d = 0; d < index_.depth(initiator); ++d) {
-    result.stats.Record("query_collect", 1);
+    result.stats.Record(CategoryIdOf<"query_collect">(), 1);
   }
   return result;
 }
@@ -130,8 +131,8 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
       result->matches.insert(result->matches.end(), all.begin(), all.end());
       const int hops = backbone_.route_hops(leader, child);
       for (int h = 0; h < hops; ++h) {
-        result->stats.Record("query_backbone", query_units);
-        result->stats.Record("query_collect", 1);
+        result->stats.Record(CategoryIdOf<"query_backbone">(), query_units);
+        result->stats.Record(CategoryIdOf<"query_collect">(), 1);
       }
       result->backbone_subtrees_included += 1;
       continue;
@@ -139,8 +140,8 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
     // Inconclusive: forward the query over this backbone link and recurse.
     const int hops = backbone_.route_hops(leader, child);
     for (int h = 0; h < hops; ++h) {
-      result->stats.Record("query_backbone", query_units);
-      result->stats.Record("query_collect", 1);
+      result->stats.Record(CategoryIdOf<"query_backbone">(), query_units);
+      result->stats.Record(CategoryIdOf<"query_collect">(), 1);
     }
     VisitBackbone(child, q, r, result);
   }
@@ -154,7 +155,7 @@ void RangeQueryEngine::DescendMTree(int node, const Feature& q, double r,
   if (d_node <= r + 1e-12) {
     result->matches.push_back(node);
     // One aggregation unit for reporting the hit back up.
-    result->stats.Record("query_collect", 1);
+    result->stats.Record(CategoryIdOf<"query_collect">(), 1);
   }
   for (int child : index_.children(node)) {
     const double d_link =
@@ -170,12 +171,12 @@ void RangeQueryEngine::DescendMTree(int node, const Feature& q, double r,
       // Entire subtree matches; child answers with an aggregate.
       const auto& all = index_.subtree(child);
       result->matches.insert(result->matches.end(), all.begin(), all.end());
-      result->stats.Record("query_descend", feature_dim_ + 1);
-      result->stats.Record("query_collect", 1);
+      result->stats.Record(CategoryIdOf<"query_descend">(), feature_dim_ + 1);
+      result->stats.Record(CategoryIdOf<"query_collect">(), 1);
       continue;
     }
     // Inconclusive: forward the query into the child.
-    result->stats.Record("query_descend", feature_dim_ + 1);
+    result->stats.Record(CategoryIdOf<"query_descend">(), feature_dim_ + 1);
     DescendMTree(child, q, r, result);
   }
 }

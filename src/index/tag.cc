@@ -24,8 +24,8 @@ std::vector<int> TagAggregator::RangeQuery(const Feature& q, double r,
                                            MessageStats* stats) const {
   if (stats != nullptr) {
     for (int e = 0; e < num_tree_edges_; ++e) {
-      stats->Record("tag_distribute", feature_dim_ + 1);
-      stats->Record("tag_collect", 1);
+      stats->Record(CategoryIdOf<"tag_distribute">(), feature_dim_ + 1);
+      stats->Record(CategoryIdOf<"tag_collect">(), 1);
     }
   }
   std::vector<int> matches;

@@ -92,7 +92,7 @@ void RunTelemetry::OnTimerFire(double now, int node, int timer_id) {
 }
 
 void RunTelemetry::OnDecodeError(double now, int node,
-                                 const std::string& category) {
+                                 CategoryId category) {
   metrics_.Add(c_decode_errors_);
   if (next_ != nullptr) next_->OnDecodeError(now, node, category);
 }

@@ -86,7 +86,7 @@ void Tracer::OnSend(double now, int from, int to, const Message& msg,
   e.aux = delay;
   e.node = from;
   e.peer = to;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   e.value = msg.CostUnits();
   e.bytes = static_cast<uint32_t>(wire::FrameSize(msg));
   Push(e);
@@ -98,7 +98,7 @@ void Tracer::OnHop(double at, int from, int to, const Message& msg) {
   e.time = at;
   e.node = from;
   e.peer = to;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   e.value = msg.CostUnits();
   e.bytes = static_cast<uint32_t>(wire::FrameSize(msg));
   Push(e);
@@ -110,7 +110,7 @@ void Tracer::OnDeliver(double now, int from, int to, const Message& msg) {
   e.time = now;
   e.node = to;
   e.peer = from;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   e.value = msg.CostUnits();
   e.bytes = static_cast<uint32_t>(wire::FrameSize(msg));
   Push(e);
@@ -122,7 +122,7 @@ void Tracer::OnDrop(double at, int from, int to, const Message& msg) {
   e.time = at;
   e.node = from;
   e.peer = to;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   e.value = msg.CostUnits();
   e.bytes = static_cast<uint32_t>(wire::FrameSize(msg));
   Push(e);
@@ -137,12 +137,12 @@ void Tracer::OnTimerFire(double now, int node, int timer_id) {
   Push(e);
 }
 
-void Tracer::OnDecodeError(double now, int node, const std::string& category) {
+void Tracer::OnDecodeError(double now, int node, CategoryId category) {
   TraceEvent e;
   e.kind = TraceKind::kDecodeError;
   e.time = now;
   e.node = node;
-  e.label = Intern(category);
+  e.label = Intern(CategoryName(category));
   Push(e);
 }
 
@@ -153,7 +153,7 @@ void Tracer::OnRetransmit(double now, int node, int to, const Message& msg,
   e.time = now;
   e.node = node;
   e.peer = to;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   e.value = attempt;
   Push(e);
 }
@@ -175,7 +175,7 @@ void Tracer::OnTransportGiveUp(double now, int node, int to,
   e.time = now;
   e.node = node;
   e.peer = to;
-  e.label = Intern(msg.category);
+  e.label = Intern(CategoryName(msg.category));
   Push(e);
 }
 

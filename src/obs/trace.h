@@ -89,8 +89,7 @@ class Tracer : public SimObserver {
   void OnDeliver(double now, int from, int to, const Message& msg) override;
   void OnDrop(double at, int from, int to, const Message& msg) override;
   void OnTimerFire(double now, int node, int timer_id) override;
-  void OnDecodeError(double now, int node,
-                     const std::string& category) override;
+  void OnDecodeError(double now, int node, CategoryId category) override;
   void OnRetransmit(double now, int node, int to, const Message& msg,
                     int attempt) override;
   void OnTransportAck(double now, int node, int to, long long seq) override;

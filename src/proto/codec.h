@@ -100,13 +100,20 @@ struct DecodeVisitor {
 
 }  // namespace internal
 
+/// The interned id of schema M's kCategory, resolved on the first call only.
+template <typename M>
+CategoryId SchemaCategory() {
+  static const CategoryId id = InternCategory(M::kCategory);
+  return id;
+}
+
 /// Serializes a schema instance into a wire Message.  Field order in
 /// VisitFields is wire order; type/category come from the schema constants.
 template <typename M>
 Message Encode(const M& m) {
   Message msg;
   msg.type = M::kType;
-  msg.category = M::kCategory;
+  msg.category = SchemaCategory<M>();
   internal::EncodeVisitor v{&msg};
   // VisitFields is non-const so one definition serves encode and decode; the
   // encode visitor only reads through the references.

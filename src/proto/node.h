@@ -121,11 +121,13 @@ class ProtocolNode : public Node {
         };
   }
 
-  /// Counts a delivered frame whose decoded fields fail protocol-level
-  /// validation (e.g. a feature block of the wrong dimensionality after
-  /// in-flight truncation).  Pair with an early return from the handler.
-  void RejectBadFields(const std::string& category) {
-    network()->NoteDecodeError(id(), category);
+  /// Counts a delivered schema-M frame whose decoded fields fail
+  /// protocol-level validation (e.g. a feature block of the wrong
+  /// dimensionality after in-flight truncation).  Pair with an early return
+  /// from the handler.
+  template <typename M>
+  void RejectBadFields() {
+    network()->NoteDecodeError(id(), SchemaCategory<M>());
   }
 
   /// Reports a named protocol phase transition to the run's observer (ELink

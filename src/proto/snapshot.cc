@@ -52,9 +52,6 @@ Result<SnapshotReader> SnapshotReader::Parse(const uint8_t* data, size_t size,
     return Status::InvalidArgument("snapshot: bad hello frame: " +
                                    hello_msg.status().message());
   }
-  // DecodeFrame leaves the category empty (it never travels); restore it so
-  // the typed decoder's identity checks see a normal message.
-  hello_msg->category = handshake_wire::Hello::kCategory;
   Result<handshake_wire::Hello> hello = Decode<handshake_wire::Hello>(*hello_msg);
   if (!hello.ok()) {
     return Status::InvalidArgument("snapshot: bad hello payload: " +

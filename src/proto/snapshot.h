@@ -8,9 +8,9 @@
 //   offset 0  4 bytes  magic "ELSN"
 //   ...       frame    a wire frame carrying handshake_wire::Hello with the
 //                      writer's [min, max] version span.  A reader first
-//                      negotiates this span against its own (the same
-//                      NegotiateVersion the live handshake uses) and rejects
-//                      gracefully when they are disjoint.
+//                      negotiates this span against its own
+//                      (NegotiateVersion) and rejects gracefully when they
+//                      are disjoint.
 //   ...       varint   section count
 //   per section:
 //     string  name     varint length + bytes, unique within the archive

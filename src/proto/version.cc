@@ -17,51 +17,5 @@ Result<uint8_t> NegotiateVersion(const VersionRange& local,
   return hi;
 }
 
-handshake_wire::Hello VersionHandshake::MakeHello() {
-  if (state_ == State::kIdle) state_ = State::kHelloSent;
-  handshake_wire::Hello hello;
-  hello.version_min = local_.min;
-  hello.version_max = local_.max;
-  return hello;
-}
-
-Result<uint8_t> VersionHandshake::OnHello(
-    const handshake_wire::Hello& hello) {
-  if (state_ == State::kEstablished) return agreed_;
-  if (state_ == State::kRejected) {
-    return Status::FailedPrecondition("wire: handshake already rejected");
-  }
-  if (hello.version_min < 0 || hello.version_max > 255 ||
-      hello.version_min > hello.version_max) {
-    state_ = State::kRejected;
-    return Status::InvalidArgument(StringPrintf(
-        "wire: malformed hello span %lld..%lld", hello.version_min,
-        hello.version_max));
-  }
-  VersionRange remote;
-  remote.min = static_cast<uint8_t>(hello.version_min);
-  remote.max = static_cast<uint8_t>(hello.version_max);
-  Result<uint8_t> agreed = NegotiateVersion(local_, remote);
-  if (!agreed.ok()) {
-    state_ = State::kRejected;
-    return agreed;
-  }
-  state_ = State::kEstablished;
-  agreed_ = *agreed;
-  return agreed_;
-}
-
-void VersionHandshake::OnReject(const handshake_wire::Reject& reject) {
-  (void)reject;
-  state_ = State::kRejected;
-}
-
-handshake_wire::Reject VersionHandshake::MakeReject() const {
-  handshake_wire::Reject reject;
-  reject.version_min = local_.min;
-  reject.version_max = local_.max;
-  return reject;
-}
-
 }  // namespace proto
 }  // namespace elink

@@ -1,28 +1,17 @@
 // Schema-version negotiation for the byte wire format (proto/wire.h).
 //
-// Two endpoints (or a snapshot writer and a later reader) may speak
-// different wire versions.  Before exchanging data frames they negotiate:
-// each side announces the [min, max] version span it supports in a Hello
+// A snapshot writer and a later reader may speak different wire versions.
+// The writer announces the [min, max] version span it supports in a Hello
 // frame; the agreed version is the highest one inside both spans, and a pair
-// of spans with no overlap is rejected gracefully (a Reject frame naming the
-// speaker's span, never a crash or a misparsed payload).
+// of spans with no overlap is rejected gracefully (a Status naming both
+// spans, never a crash or a misparsed payload).
 //
-// The handshake is itself carried over the byte codec: Hello and Reject are
-// ordinary field-visitor schemas with reserved packet ids, so they
-// round-trip through Encode -> EncodeFrame -> DecodeFrame -> Decode like any
-// protocol message.  The frame's own version byte is pinned to
-// kWireVersionMin for Hello/Reject frames by convention — every
-// implementation of any version can parse them, which is what makes the
+// Hello is itself carried over the byte codec: an ordinary field-visitor
+// schema with a reserved packet id, so it round-trips through Encode ->
+// EncodeFrame -> DecodeFrame -> Decode like any protocol message.  The
+// frame's own version byte is pinned to kWireVersionMin by convention —
+// every implementation of any version can parse it, which is what makes the
 // negotiation able to *reach* disagreement instead of tripping over it.
-//
-// State machine (one per directed peering):
-//
-//   kIdle --MakeHello()--> kHelloSent --OnHello(compatible)--> kEstablished
-//                                     \-OnHello(disjoint)----> kRejected
-//                                     \-OnReject()-----------> kRejected
-//
-// OnHello is also valid from kIdle (the passive side answers the initiator)
-// and transitions identically.
 #ifndef ELINK_PROTO_VERSION_H_
 #define ELINK_PROTO_VERSION_H_
 
@@ -36,7 +25,7 @@ namespace proto {
 
 namespace handshake_wire {
 
-/// Version announcement; packet ids >= 1000 are reserved for the handshake.
+/// Version announcement; packet ids >= 1000 are reserved for negotiation.
 struct Hello {
   static constexpr int kType = 1000;
   static constexpr const char* kCategory = "wire.hello";
@@ -50,21 +39,6 @@ struct Hello {
   bool operator==(const Hello&) const = default;
 };
 
-/// Graceful refusal: the spans do not overlap.  Carries the refusing side's
-/// span so the peer can log something actionable.
-struct Reject {
-  static constexpr int kType = 1001;
-  static constexpr const char* kCategory = "wire.reject";
-  long long version_min = 0;
-  long long version_max = 0;
-  template <class V>
-  void VisitFields(V& v) {
-    v.I64(version_min);
-    v.I64(version_max);
-  }
-  bool operator==(const Reject&) const = default;
-};
-
 }  // namespace handshake_wire
 
 /// Inclusive span of wire versions an endpoint speaks.
@@ -76,38 +50,6 @@ struct VersionRange {
 /// Highest version inside both spans; FailedPrecondition when disjoint.
 Result<uint8_t> NegotiateVersion(const VersionRange& local,
                                  const VersionRange& remote);
-
-/// \brief One endpoint's half of the version handshake.
-class VersionHandshake {
- public:
-  enum class State { kIdle, kHelloSent, kEstablished, kRejected };
-
-  explicit VersionHandshake(VersionRange local = {}) : local_(local) {}
-
-  State state() const { return state_; }
-
-  /// Version both sides agreed on; only valid in kEstablished.
-  uint8_t agreed_version() const { return agreed_; }
-
-  /// The Hello announcing this endpoint's span; moves kIdle -> kHelloSent.
-  handshake_wire::Hello MakeHello();
-
-  /// Consumes the peer's Hello.  Compatible spans establish the session and
-  /// return the agreed version; disjoint spans move to kRejected and return
-  /// the negotiation error (callers answer with MakeReject()).
-  Result<uint8_t> OnHello(const handshake_wire::Hello& hello);
-
-  /// Consumes the peer's Reject: the session is over.
-  void OnReject(const handshake_wire::Reject& reject);
-
-  /// The Reject frame to answer an incompatible Hello with.
-  handshake_wire::Reject MakeReject() const;
-
- private:
-  VersionRange local_;
-  State state_ = State::kIdle;
-  uint8_t agreed_ = 0;
-};
 
 }  // namespace proto
 }  // namespace elink

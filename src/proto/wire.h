@@ -22,9 +22,9 @@
 // Body layout (version 1):
 //
 //   varint  packet id  zigzag(Message::type) — packet ids are scoped by the
-//                      frame's version byte; the handshake (proto/version.h)
-//                      guarantees both ends interpret them under the same
-//                      version.
+//                      frame's version byte; version negotiation
+//                      (proto/version.h) guarantees both ends interpret them
+//                      under the same version.
 //   u8      flags      bit0: reliable envelope present (rel_seq/rel_from
 //                            follow the payload), bit1: rel_ack.
 //   varint  nints
@@ -38,10 +38,10 @@
 //   [env]   rel_seq    zigzag varint   (only with flags bit0)
 //           rel_from   zigzag varint
 //
-// The category string never travels: it is accounting metadata derivable
-// from the packet id via each family's CategoryForType registry, exactly as
-// a real deployment would dispatch on the type byte.  DecodeFrame therefore
-// returns a Message with an empty category.
+// The category never travels: it is accounting metadata derivable from the
+// packet id (each family's ForEachSchema pairs every kType with its
+// kCategory), exactly as a real deployment would dispatch on the type byte.
+// DecodeFrame therefore returns a Message with the empty category (id 0).
 //
 // Decoding is total: every read is bounds-checked, counts are capped, the
 // frame must be consumed exactly, and any violation returns an error Status

@@ -2,8 +2,9 @@
 #ifndef ELINK_SIM_MESSAGE_H_
 #define ELINK_SIM_MESSAGE_H_
 
-#include <string>
 #include <vector>
+
+#include "sim/category.h"
 
 namespace elink {
 
@@ -12,11 +13,12 @@ namespace elink {
 /// `type` dispatches inside a protocol's message handler; `category` labels
 /// the message for cost accounting (MessageStats) so experiments can break
 /// down communication by expand/ack/phase/query/... as Section 8.2 does.
+/// It is an interned id (sim/category.h) and never goes on the wire.
 /// `doubles` carries feature coefficients or data values; `ints` carries ids
 /// and levels.
 struct Message {
   int type = 0;
-  std::string category;
+  CategoryId category = 0;
   std::vector<double> doubles;
   std::vector<long long> ints;
 

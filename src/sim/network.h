@@ -234,7 +234,7 @@ class Network {
 
   /// Counts a delivered-but-undecodable frame against `category` and reports
   /// it to the observer.  `node` is the rejecting receiver.
-  void NoteDecodeError(int node, const std::string& category) {
+  void NoteDecodeError(int node, CategoryId category) {
     stats_.RecordDecodeError(category);
     if (observer_ != nullptr) {
       observer_->OnDecodeError(queue_.Now(), node, category);

@@ -18,8 +18,8 @@
 #define ELINK_SIM_OBSERVER_H_
 
 #include <cstdint>
-#include <string>
 
+#include "sim/category.h"
 #include "sim/message.h"
 
 namespace elink {
@@ -82,8 +82,7 @@ class SimObserver {
   }
   /// A delivered frame was rejected by the receiving protocol (truncated,
   /// malformed, or failing protocol-level field validation).
-  virtual void OnDecodeError(double now, int node,
-                             const std::string& category) {
+  virtual void OnDecodeError(double now, int node, CategoryId category) {
     (void)now, (void)node, (void)category;
   }
 

@@ -6,22 +6,6 @@
 
 namespace elink {
 
-namespace {
-
-/// Ack/retx categories derive from the data category with the ".retx"
-/// marker stripped, so a retransmitted "expand" still acks as "expand.ack".
-std::string BaseCategory(const std::string& category) {
-  constexpr const char kRetxSuffix[] = ".retx";
-  const size_t n = sizeof(kRetxSuffix) - 1;
-  if (category.size() > n &&
-      category.compare(category.size() - n, n, kRetxSuffix) == 0) {
-    return category.substr(0, category.size() - n);
-  }
-  return category;
-}
-
-}  // namespace
-
 void ReliableChannel::Attach(Network* network, int self, Config config) {
   ELINK_CHECK(network != nullptr);
   ELINK_CHECK(config.rto > 0.0);
@@ -50,7 +34,6 @@ void ReliableChannel::Enqueue(int to, bool routed, Message msg) {
   p.to = to;
   p.routed = routed;
   p.timeout = config_.rto;
-  p.retx_category = msg.category + ".retx";
   p.msg = msg;
   Dispatch(to, routed, p.msg);
   pending_.emplace(seq, std::move(p));
@@ -78,7 +61,7 @@ bool ReliableChannel::OnMessage(int from, const Message& msg) {
   ack.rel_ack = true;
   ack.rel_seq = msg.rel_seq;
   ack.rel_from = self_;
-  ack.category = BaseCategory(msg.category) + ".ack";
+  ack.category = AckCategory(msg.category);
   if (SimObserver* obs = network_->observer()) {
     obs->OnTransportAck(network_->Now(), self_, msg.rel_from, msg.rel_seq);
   }
@@ -117,7 +100,7 @@ bool ReliableChannel::OnTimer(int timer_id) {
   ++retransmissions_;
   p.timeout *= config_.backoff;
   Message copy = p.msg;
-  copy.category = p.retx_category;
+  copy.category = RetxCategory(p.msg.category);
   if (SimObserver* obs = network_->observer()) {
     obs->OnRetransmit(network_->Now(), self_, p.to, copy, p.attempts);
   }
@@ -143,8 +126,8 @@ void ReliableChannel::EncodeSnapshotState(std::vector<uint8_t>* out) const {
     wire::PutU8(p.routed ? 1 : 0, out);
     wire::PutZigzag(p.attempts, out);
     wire::PutF64Le(p.timeout, out);
-    wire::PutString(p.msg.category, out);
-    wire::PutString(p.retx_category, out);
+    wire::PutString(CategoryName(p.msg.category), out);
+    wire::PutString(CategoryName(RetxCategory(p.msg.category)), out);
     wire::EncodeFrame(p.msg, out);
   }
   // Delivery history: originator -> delivered seqs, both in ascending order.

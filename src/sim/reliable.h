@@ -11,7 +11,8 @@
 // Cost accounting: the first copy of a message is charged under its own
 // category, every retransmission under "<category>.retx", and transport acks
 // under "<category>.ack" — so the overhead of reliability is measurable in
-// the Section-8.2 ledger.
+// the Section-8.2 ledger.  Both derived ids come from the category registry
+// (RetxCategory / AckCategory), cached per category.
 #ifndef ELINK_SIM_RELIABLE_H_
 #define ELINK_SIM_RELIABLE_H_
 
@@ -19,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <string>
 
 #include "sim/message.h"
 #include "sim/network.h"
@@ -103,7 +103,6 @@ class ReliableChannel {
     int attempts = 0;     // Retransmissions so far.
     double timeout = 0.0; // Next backoff interval.
     Message msg;          // Original, with envelope fields set.
-    std::string retx_category;
   };
 
   void Dispatch(int to, bool routed, const Message& msg);

@@ -1,96 +1,80 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/strings.h"
 
 namespace elink {
 
-MessageStats::CategoryId MessageStats::Intern(const std::string& category) {
-  auto [it, inserted] =
-      index_.emplace(category, static_cast<CategoryId>(names_.size()));
-  if (inserted) {
-    names_.push_back(category);
-    counters_.emplace_back();
-  }
-  return it->second;
+MessageStats::Counters& MessageStats::At(CategoryId category) {
+  if (category >= counters_.size()) counters_.resize(category + 1);
+  return counters_[category];
 }
 
-const MessageStats::Counters* MessageStats::Find(
-    const std::string& category) const {
-  auto it = index_.find(category);
-  return it == index_.end() ? nullptr : &counters_[it->second];
+MessageStats::Counters MessageStats::Named(std::string_view category) const {
+  const std::optional<CategoryId> id = FindCategory(category);
+  return id && *id < counters_.size() ? counters_[*id] : Counters{};
 }
 
-void MessageStats::Record(const std::string& category, int units,
-                          uint64_t bytes) {
+void MessageStats::Record(CategoryId category, int units, uint64_t bytes) {
   total_sends_ += 1;
   total_units_ += static_cast<uint64_t>(units);
   total_bytes_ += bytes;
-  Counters& c = counters_[Intern(category)];
+  Counters& c = At(category);
   c.units += static_cast<uint64_t>(units);
   c.sends += 1;
   c.bytes += bytes;
-  views_dirty_ = true;
 }
 
-void MessageStats::RecordDropped(const std::string& category, int units,
+void MessageStats::RecordDropped(CategoryId category, int units,
                                  uint64_t bytes) {
   dropped_sends_ += 1;
   dropped_units_ += static_cast<uint64_t>(units);
   dropped_bytes_ += bytes;
-  Counters& c = counters_[Intern(category)];
+  Counters& c = At(category);
   c.dropped_units += static_cast<uint64_t>(units);
   c.dropped_sends += 1;
   c.dropped_bytes += bytes;
-  views_dirty_ = true;
 }
 
-void MessageStats::RecordDecodeError(const std::string& category) {
+void MessageStats::RecordDecodeError(CategoryId category) {
   decode_errors_ += 1;
-  counters_[Intern(category)].decode_errors += 1;
-  views_dirty_ = true;
+  At(category).decode_errors += 1;
 }
 
-uint64_t MessageStats::decode_errors(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->decode_errors;
+uint64_t MessageStats::decode_errors(std::string_view category) const {
+  return Named(category).decode_errors;
 }
 
-uint64_t MessageStats::units(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->units;
+uint64_t MessageStats::units(std::string_view category) const {
+  return Named(category).units;
 }
 
-uint64_t MessageStats::sends(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->sends;
+uint64_t MessageStats::sends(std::string_view category) const {
+  return Named(category).sends;
 }
 
-uint64_t MessageStats::dropped(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->dropped_units;
+uint64_t MessageStats::dropped(std::string_view category) const {
+  return Named(category).dropped_units;
 }
 
-uint64_t MessageStats::bytes(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->bytes;
+uint64_t MessageStats::bytes(std::string_view category) const {
+  return Named(category).bytes;
 }
 
-uint64_t MessageStats::dropped_sends(const std::string& category) const {
-  const Counters* c = Find(category);
-  return c == nullptr ? 0 : c->dropped_sends;
+uint64_t MessageStats::dropped_sends(std::string_view category) const {
+  return Named(category).dropped_sends;
 }
 
 std::vector<MessageStats::CategorySnapshot> MessageStats::Snapshot() const {
   std::vector<CategorySnapshot> out;
-  out.reserve(names_.size());
-  for (size_t id = 0; id < names_.size(); ++id) {
+  for (CategoryId id = 0; id < counters_.size(); ++id) {
     const Counters& c = counters_[id];
     if (c.sends == 0 && c.dropped_sends == 0 && c.decode_errors == 0) {
       continue;
     }
-    out.push_back(CategorySnapshot{names_[id], c.units, c.sends, c.bytes,
+    out.push_back(CategorySnapshot{CategoryName(id), c.units, c.sends, c.bytes,
                                    c.dropped_units, c.dropped_sends,
                                    c.dropped_bytes, c.decode_errors});
   }
@@ -101,43 +85,25 @@ std::vector<MessageStats::CategorySnapshot> MessageStats::Snapshot() const {
   return out;
 }
 
-const std::map<std::string, uint64_t>& MessageStats::units_by_category()
-    const {
-  if (views_dirty_) {
-    units_view_.clear();
-    dropped_view_.clear();
-    for (size_t id = 0; id < names_.size(); ++id) {
-      if (counters_[id].sends > 0) units_view_[names_[id]] = counters_[id].units;
-      if (counters_[id].dropped_sends > 0) {
-        dropped_view_[names_[id]] = counters_[id].dropped_units;
-      }
-    }
-    views_dirty_ = false;
+std::map<std::string, uint64_t> MessageStats::units_by_category() const {
+  std::map<std::string, uint64_t> out;
+  for (CategoryId id = 0; id < counters_.size(); ++id) {
+    if (counters_[id].sends > 0) out[CategoryName(id)] = counters_[id].units;
   }
-  return units_view_;
+  return out;
 }
 
-const std::map<std::string, uint64_t>& MessageStats::dropped_by_category()
-    const {
-  units_by_category();  // Rebuilds both views when dirty.
-  return dropped_view_;
+std::map<std::string, uint64_t> MessageStats::dropped_by_category() const {
+  std::map<std::string, uint64_t> out;
+  for (CategoryId id = 0; id < counters_.size(); ++id) {
+    if (counters_[id].dropped_sends > 0) {
+      out[CategoryName(id)] = counters_[id].dropped_units;
+    }
+  }
+  return out;
 }
 
-void MessageStats::Reset() {
-  total_sends_ = 0;
-  total_units_ = 0;
-  total_bytes_ = 0;
-  dropped_sends_ = 0;
-  dropped_units_ = 0;
-  dropped_bytes_ = 0;
-  decode_errors_ = 0;
-  // The intern table survives a Reset (categories recur across runs); only
-  // the counters are zeroed, so nothing is "recorded" afterwards.
-  for (Counters& c : counters_) c = Counters{};
-  units_view_.clear();
-  dropped_view_.clear();
-  views_dirty_ = false;
-}
+void MessageStats::Reset() { *this = MessageStats(); }
 
 void MessageStats::Merge(const MessageStats& other) {
   total_sends_ += other.total_sends_;
@@ -147,12 +113,12 @@ void MessageStats::Merge(const MessageStats& other) {
   dropped_units_ += other.dropped_units_;
   dropped_bytes_ += other.dropped_bytes_;
   decode_errors_ += other.decode_errors_;
-  for (size_t id = 0; id < other.names_.size(); ++id) {
+  if (counters_.size() < other.counters_.size()) {
+    counters_.resize(other.counters_.size());
+  }
+  for (CategoryId id = 0; id < other.counters_.size(); ++id) {
     const Counters& oc = other.counters_[id];
-    if (oc.sends == 0 && oc.dropped_sends == 0 && oc.decode_errors == 0) {
-      continue;
-    }
-    Counters& c = counters_[Intern(other.names_[id])];
+    Counters& c = counters_[id];
     c.units += oc.units;
     c.sends += oc.sends;
     c.bytes += oc.bytes;
@@ -161,14 +127,13 @@ void MessageStats::Merge(const MessageStats& other) {
     c.dropped_bytes += oc.dropped_bytes;
     c.decode_errors += oc.decode_errors;
   }
-  views_dirty_ = true;
 }
 
 std::string MessageStats::ToString() const {
   std::string out = StringPrintf("sends=%llu units=%llu",
                                  static_cast<unsigned long long>(total_sends_),
                                  static_cast<unsigned long long>(total_units_));
-  const auto& by_units = units_by_category();
+  const std::map<std::string, uint64_t> by_units = units_by_category();
   if (!by_units.empty()) {
     out += " (";
     bool first = true;

@@ -4,11 +4,10 @@
 // as "units" (one per coefficient/data value carried, the paper's definition
 // of a message), broken down by protocol category.
 //
-// Hot-path layout: category strings are interned into dense CategoryIds at
-// first use (one hash lookup per Record instead of a std::map string-compare
-// walk) and all counters live in flat vectors indexed by id.  The
-// string-keyed accessors keep their original signatures; the by-category
-// map views are materialized lazily on read and cached until the next write.
+// Hot-path layout: counters live in one flat vector indexed by the interned
+// CategoryId (sim/category.h), so a charge is an index, never a hash.  Names
+// are looked up only when a ledger is rendered or queried by name, and every
+// rendering sorts by name, so no output depends on id order.
 // MessageStats is not thread-safe; parallel trial runners keep one ledger
 // per worker and Merge them afterwards.
 #ifndef ELINK_SIM_STATS_H_
@@ -17,8 +16,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
+
+#include "sim/category.h"
 
 namespace elink {
 
@@ -29,19 +30,18 @@ class MessageStats {
   /// `category`.  `bytes` is the encoded frame length on the air
   /// (wire::FrameSize); callers accounting outside the Network pass 0 —
   /// the byte columns then simply report "never framed".
-  void Record(const std::string& category, int units, uint64_t bytes = 0);
+  void Record(CategoryId category, int units, uint64_t bytes = 0);
 
   /// Records one transmission of `units` under `category` that was lost to
   /// fault injection (link loss, outage, or a crashed endpoint).  Dropped
   /// sends are tallied separately and never enter the delivered totals.
-  void RecordDropped(const std::string& category, int units,
-                     uint64_t bytes = 0);
+  void RecordDropped(CategoryId category, int units, uint64_t bytes = 0);
 
   /// Records one delivered message that the receiving protocol could not
   /// decode (truncated or malformed payload).  Decode failures are a
   /// protocol-level error, tallied separately from sends/units; the message
   /// was already charged at send time.
-  void RecordDecodeError(const std::string& category);
+  void RecordDecodeError(CategoryId category);
 
   /// Raw transmissions (sends over one hop).
   uint64_t total_sends() const { return total_sends_; }
@@ -57,20 +57,19 @@ class MessageStats {
   uint64_t dropped_bytes() const { return dropped_bytes_; }
 
   /// Units recorded under one category (0 when absent).
-  uint64_t units(const std::string& category) const;
+  uint64_t units(std::string_view category) const;
 
   /// Sends recorded under one category (0 when absent).
-  uint64_t sends(const std::string& category) const;
+  uint64_t sends(std::string_view category) const;
 
   /// Bytes-on-wire recorded under one category (0 when absent).
-  uint64_t bytes(const std::string& category) const;
+  uint64_t bytes(std::string_view category) const;
 
   /// Dropped sends recorded under one category (0 when absent).
-  uint64_t dropped_sends(const std::string& category) const;
+  uint64_t dropped_sends(std::string_view category) const;
 
-  /// All categories and their unit counts (materialized view, valid until
-  /// the next mutation).
-  const std::map<std::string, uint64_t>& units_by_category() const;
+  /// All categories with deliveries and their unit counts.
+  std::map<std::string, uint64_t> units_by_category() const;
 
   /// Transmissions lost to fault injection (not counted in total_sends()).
   uint64_t dropped_sends() const { return dropped_sends_; }
@@ -82,14 +81,13 @@ class MessageStats {
   uint64_t decode_errors() const { return decode_errors_; }
 
   /// Decode errors recorded under one category (0 when absent).
-  uint64_t decode_errors(const std::string& category) const;
+  uint64_t decode_errors(std::string_view category) const;
 
   /// Dropped units recorded under one category (0 when absent).
-  uint64_t dropped(const std::string& category) const;
+  uint64_t dropped(std::string_view category) const;
 
-  /// All categories with losses and their dropped unit counts (materialized
-  /// view, valid until the next mutation).
-  const std::map<std::string, uint64_t>& dropped_by_category() const;
+  /// All categories with losses and their dropped unit counts.
+  std::map<std::string, uint64_t> dropped_by_category() const;
 
   /// Zeroes all counters.
   void Reset();
@@ -116,13 +114,10 @@ class MessageStats {
   std::vector<CategorySnapshot> Snapshot() const;
 
  private:
-  /// Dense id of an interned category name.
-  using CategoryId = uint32_t;
-
-  /// Per-category counters, indexed by CategoryId.  A category appears in
-  /// the delivered (resp. dropped) map view iff its sends (resp.
-  /// dropped_sends) counter is non-zero — Record always bumps sends by one,
-  /// so that is exactly "Record was called", matching the old map behavior.
+  /// Per-category counters.  A category appears in units_by_category()
+  /// (resp. dropped_by_category()) iff its sends (resp. dropped_sends) is
+  /// non-zero — Record always bumps sends by one, so that is exactly "Record
+  /// was called".
   struct Counters {
     uint64_t units = 0;
     uint64_t sends = 0;
@@ -133,11 +128,11 @@ class MessageStats {
     uint64_t decode_errors = 0;
   };
 
-  /// Returns the id for `category`, interning it on first use.
-  CategoryId Intern(const std::string& category);
+  /// The counters of `category`, growing the vector on its first charge.
+  Counters& At(CategoryId category);
 
-  /// Returns the counters for `category`, or nullptr when never seen.
-  const Counters* Find(const std::string& category) const;
+  /// The counters of the category named `category` (zeroes when absent).
+  Counters Named(std::string_view category) const;
 
   uint64_t total_sends_ = 0;
   uint64_t total_units_ = 0;
@@ -147,14 +142,7 @@ class MessageStats {
   uint64_t dropped_bytes_ = 0;
   uint64_t decode_errors_ = 0;
 
-  std::vector<std::string> names_;   // CategoryId -> name.
-  std::vector<Counters> counters_;   // CategoryId -> flat counters.
-  std::unordered_map<std::string, CategoryId> index_;
-
-  // Lazily rebuilt map views behind the by-category accessors.
-  mutable std::map<std::string, uint64_t> units_view_;
-  mutable std::map<std::string, uint64_t> dropped_view_;
-  mutable bool views_dirty_ = false;
+  std::vector<Counters> counters_;  // CategoryId -> counters.
 };
 
 }  // namespace elink

@@ -27,7 +27,7 @@ using CausalInfo = SimObserver::CausalInfo;
 
 Message Msg(const std::string& category, int doubles = 0) {
   Message m;
-  m.category = category;
+  m.category = InternCategory(category);
   m.doubles.assign(static_cast<size_t>(doubles), 1.0);
   return m;
 }
@@ -149,7 +149,7 @@ TEST(CheckCausalGraphTest, FlagsDeliveryTimeDisagreeingWithSendDelay) {
   t.OnCausal(CausalInfo{1, 1, 0});
   t.OnDeliver(2.0, 0, 1, m);  // Arrives at 2.0; the send promised 1.0.
   MessageStats stats;
-  stats.Record("x", m.CostUnits());
+  stats.Record(InternCategory("x"), m.CostUnits());
   EXPECT_FALSE(check::CheckCausalGraph(t, stats).ok());
 }
 
@@ -159,8 +159,8 @@ TEST(CheckCausalGraphTest, FlagsLedgerDisagreement) {
   EXPECT_FALSE(check::CheckCausalGraph(t, empty).ok());
   MessageStats matching;  // Units AND bytes must both reconcile.
   const uint64_t frame = wire::FrameSize(Msg("expand"));
-  matching.Record("expand", 1, frame);
-  matching.Record("expand", 1, frame);
+  matching.Record(InternCategory("expand"), 1, frame);
+  matching.Record(InternCategory("expand"), 1, frame);
   EXPECT_TRUE(check::CheckCausalGraph(t, matching).ok())
       << check::CheckCausalGraph(t, matching).ToString();
 }

@@ -116,7 +116,7 @@ ChurnProbe* Probe(Network* net, int id) {
 Message Msg(int type) {
   Message m;
   m.type = type;
-  m.category = "t";
+  m.category = InternCategory("t");
   return m;
 }
 

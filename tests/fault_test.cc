@@ -128,7 +128,7 @@ TEST(NetworkFaultTest, CrashedReceiverNeverDelivers) {
   auto net = MakeFaultyGrid(plan);
   Message m;
   m.type = 1;
-  m.category = "t";
+  m.category = InternCategory("t");
   net->Send(0, 1, m);
   net->Send(0, 3, m);  // Healthy neighbor still works.
   net->Run();
@@ -144,7 +144,7 @@ TEST(NetworkFaultTest, CrashedSenderCannotSend) {
   plan.node_crashes.push_back({0, 0.0});
   auto net = MakeFaultyGrid(plan);
   Message m;
-  m.category = "t";
+  m.category = InternCategory("t");
   net->Send(0, 1, m);
   net->Run();
   EXPECT_TRUE(static_cast<SinkNode*>(net->node(1))->received.empty());
@@ -263,7 +263,7 @@ TEST(NetworkFaultTest, OutageSeversRoutedPath) {
   plan.link_outages.push_back({0, 3, 0.0});
   auto net = MakeFaultyGrid(plan);
   Message m;
-  m.category = "r";
+  m.category = InternCategory("r");
   EXPECT_EQ(net->SendRouted(0, 8, m), 4);  // Hop count of the chosen path.
   net->Run();
   EXPECT_TRUE(static_cast<SinkNode*>(net->node(8))->received.empty());
@@ -279,7 +279,7 @@ TEST(NetworkFaultTest, RoutedDropChargesTraveledHopsOnly) {
   plan.link_outages.push_back({7, 8, 0.0});
   auto net = MakeFaultyGrid(plan);
   Message m;
-  m.category = "r";
+  m.category = InternCategory("r");
   net->SendRouted(0, 8, m);
   net->Run();
   EXPECT_TRUE(static_cast<SinkNode*>(net->node(8))->received.empty());
@@ -339,7 +339,7 @@ TEST(ReliableChannelTest, DeliversEverythingUnderHeavyLoss) {
   for (int i = 0; i < kMessages; ++i) {
     Message m;
     m.type = 1000 + i;
-    m.category = "data";
+    m.category = InternCategory("data");
     sender->channel.Send(1, m);
   }
   net->Run();
@@ -370,7 +370,7 @@ TEST(ReliableChannelTest, RetransmitsAcrossOutageWindow) {
   auto* sender = static_cast<ReliableNode*>(net->node(0));
   Message m;
   m.type = 7;
-  m.category = "data";
+  m.category = InternCategory("data");
   sender->channel.Send(1, m);  // t=0 lost, t=4 lost, t=12 delivered.
   net->Run();
   auto* receiver = static_cast<ReliableNode*>(net->node(1));
@@ -394,7 +394,7 @@ TEST(ReliableChannelTest, SuppressesDuplicatesWhenAcksAreLost) {
   auto* sender = static_cast<ReliableNode*>(net->node(0));
   Message m;
   m.type = 9;
-  m.category = "data";
+  m.category = InternCategory("data");
   sender->channel.Send(1, m);
   net->Run();
   auto* receiver = static_cast<ReliableNode*>(net->node(1));
@@ -414,7 +414,7 @@ TEST(ReliableChannelTest, GivesUpOnCrashedReceiver) {
   auto* sender = static_cast<ReliableNode*>(net->node(0));
   Message m;
   m.type = 13;
-  m.category = "data";
+  m.category = InternCategory("data");
   sender->channel.Send(1, m);
   net->Run();
   ASSERT_EQ(sender->gave_up.size(), 1u);
@@ -434,7 +434,7 @@ TEST(ReliableChannelTest, RoutedSendAcksEndToEnd) {
   auto* sender = static_cast<ReliableNode*>(net->node(0));
   Message m;
   m.type = 21;
-  m.category = "data";
+  m.category = InternCategory("data");
   sender->channel.SendRouted(8, m);
   net->Run();
   auto* receiver = static_cast<ReliableNode*>(net->node(8));

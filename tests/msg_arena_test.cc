@@ -37,7 +37,7 @@ namespace {
 Message TestMessage(int type, std::vector<double> doubles = {}) {
   Message m;
   m.type = type;
-  m.category = "test";
+  m.category = InternCategory("test");
   m.doubles = std::move(doubles);
   return m;
 }
@@ -55,7 +55,7 @@ TEST(MessageArenaTest, CreateReleaseLifecycle) {
   EXPECT_EQ(arena.slabs_allocated(), 1u);
   EXPECT_EQ(slot->refs, 1u);
   EXPECT_EQ(slot->msg.type, 7);
-  EXPECT_EQ(slot->msg.category, "test");
+  EXPECT_EQ(CategoryName(slot->msg.category), "test");
   ASSERT_EQ(slot->msg.doubles.size(), 2u);
   EXPECT_DOUBLE_EQ(slot->msg.doubles[1], 2.5);
 

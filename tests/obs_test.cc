@@ -141,7 +141,7 @@ TEST(TracerTest, ExportersRenderEveryRetainedEvent) {
   Tracer tracer(/*capacity=*/64);
   Message msg;
   msg.type = 3;
-  msg.category = "expand";
+  msg.category = InternCategory("expand");
   tracer.OnSend(1.0, 0, 1, msg, 2.5);
   tracer.OnDeliver(3.5, 0, 1, msg);
   tracer.OnPhase(4.0, 1, "elink.round_complete", 2);

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/elink.h"
@@ -47,7 +48,7 @@ template <typename M>
 void CheckRoundTrip(const M& m) {
   const Message wire = proto::Encode(m);
   EXPECT_EQ(wire.type, M::kType);
-  EXPECT_EQ(wire.category, M::kCategory);
+  EXPECT_EQ(CategoryName(wire.category), M::kCategory);
   // The paper's unit accounting: one unit per carried coefficient, minimum
   // one per transmission.
   EXPECT_EQ(wire.CostUnits(),
@@ -271,11 +272,25 @@ struct WireFuzzFill {
   void Block(std::vector<double>& v) { v = FuzzBlock(*rng, 6); }
 };
 
-/// Full byte-level round trip for one schema: typed struct -> Message ->
-/// frame bytes -> Message -> typed struct, with the category re-derived from
-/// the packet id the way a byte-level receiver would.
-template <typename M>
-void CheckByteRoundTrip(M m, Rng& rng, const char* (*category_of)(int)) {
+/// The accounting category of packet id `type` within the schema family that
+/// `for_each_schema` enumerates, or null for an id the family does not
+/// define — how a byte-level receiver re-derives the category the radio
+/// frame deliberately omits.
+template <typename Family>
+const char* CategoryForType(const Family& for_each_schema, int type) {
+  const char* category = nullptr;
+  for_each_schema([&](const auto& m) {
+    using M = std::decay_t<decltype(m)>;
+    if (M::kType == type) category = M::kCategory;
+  });
+  return category;
+}
+
+/// Full byte-level round trip for one schema of `family`: typed struct ->
+/// Message -> frame bytes -> Message -> typed struct, with the category
+/// re-derived from the packet id the way a byte-level receiver would.
+template <typename M, typename Family>
+void CheckByteRoundTrip(M m, Rng& rng, const Family& family) {
   WireFuzzFill fill{&rng};
   m.VisitFields(fill);
   Message encoded = proto::Encode(m);
@@ -288,11 +303,11 @@ void CheckByteRoundTrip(M m, Rng& rng, const char* (*category_of)(int)) {
   ASSERT_EQ(frame.size(), wire::FrameSize(encoded));
   Result<Message> back = wire::DecodeFrame(frame);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back->category.empty());  // The category never travels.
-  const char* category = category_of(back->type);
+  // The category never travels: a decoded frame carries the empty one.
+  EXPECT_TRUE(CategoryName(back->category).empty());
+  const char* category = CategoryForType(family, back->type);
   ASSERT_NE(category, nullptr);
   EXPECT_STREQ(category, M::kCategory);
-  back->category = category;
   EXPECT_EQ(back->rel_seq, encoded.rel_seq);
   EXPECT_EQ(back->rel_from, encoded.rel_from);
   EXPECT_EQ(back->rel_ack, encoded.rel_ack);
@@ -303,19 +318,14 @@ void CheckByteRoundTrip(M m, Rng& rng, const char* (*category_of)(int)) {
 
 TEST(WireFormatTest, AllSchemasByteRoundTrip) {
   Rng rng(2026);
+  const auto round_trip = [&](const auto& family) {
+    family([&](auto m) { CheckByteRoundTrip(std::move(m), rng, family); });
+  };
   for (int trial = 0; trial < 25; ++trial) {
-    elink_wire::ForEachSchema([&](auto m) {
-      CheckByteRoundTrip(std::move(m), rng, &elink_wire::CategoryForType);
-    });
-    maint_wire::ForEachSchema([&](auto m) {
-      CheckByteRoundTrip(std::move(m), rng, &maint_wire::CategoryForType);
-    });
-    query_wire::ForEachSchema([&](auto m) {
-      CheckByteRoundTrip(std::move(m), rng, &query_wire::CategoryForType);
-    });
-    path_wire::ForEachSchema([&](auto m) {
-      CheckByteRoundTrip(std::move(m), rng, &path_wire::CategoryForType);
-    });
+    round_trip([](auto&& fn) { elink_wire::ForEachSchema(fn); });
+    round_trip([](auto&& fn) { maint_wire::ForEachSchema(fn); });
+    round_trip([](auto&& fn) { query_wire::ForEachSchema(fn); });
+    round_trip([](auto&& fn) { path_wire::ForEachSchema(fn); });
   }
 }
 
@@ -481,7 +491,6 @@ TEST(WireFormatTest, IntExtremesAndDeltaWraparoundRoundTrip) {
   const Message encoded = proto::Encode(er);
   Result<Message> back = wire::DecodeFrame(wire::EncodeFrame(encoded));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  back->category = maint_wire::EpochReport::kCategory;
   Result<maint_wire::EpochReport> typed =
       proto::Decode<maint_wire::EpochReport>(*back);
   ASSERT_TRUE(typed.ok());
@@ -508,58 +517,6 @@ TEST(VersionNegotiationTest, DisjointSpansFailGracefully) {
       proto::NegotiateVersion(proto::VersionRange{1, 2}, proto::VersionRange{3, 4});
   ASSERT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kFailedPrecondition);
-}
-
-/// Ships a handshake schema through actual frame bytes, the way a deployment
-/// would: Encode -> EncodeFrame -> DecodeFrame -> Decode.
-template <typename M>
-M ShipOverWire(const M& m) {
-  Result<Message> framed = wire::DecodeFrame(wire::EncodeFrame(proto::Encode(m)));
-  EXPECT_TRUE(framed.ok()) << framed.status().ToString();
-  framed->category = M::kCategory;
-  Result<M> back = proto::Decode<M>(*framed);
-  EXPECT_TRUE(back.ok()) << back.status().ToString();
-  return *back;
-}
-
-TEST(VersionNegotiationTest, HandshakeOverWireFramesEstablishes) {
-  proto::VersionHandshake a, b;
-  EXPECT_EQ(a.state(), proto::VersionHandshake::State::kIdle);
-
-  const proto::handshake_wire::Hello hello_a = ShipOverWire(a.MakeHello());
-  EXPECT_EQ(a.state(), proto::VersionHandshake::State::kHelloSent);
-  EXPECT_EQ(hello_a.version_min, wire::kWireVersionMin);
-  EXPECT_EQ(hello_a.version_max, wire::kWireVersionMax);
-
-  // The passive side answers from kIdle and establishes.
-  Result<uint8_t> agreed_b = b.OnHello(hello_a);
-  ASSERT_TRUE(agreed_b.ok());
-  EXPECT_EQ(b.state(), proto::VersionHandshake::State::kEstablished);
-
-  const proto::handshake_wire::Hello hello_b = ShipOverWire(b.MakeHello());
-  Result<uint8_t> agreed_a = a.OnHello(hello_b);
-  ASSERT_TRUE(agreed_a.ok());
-  EXPECT_EQ(a.state(), proto::VersionHandshake::State::kEstablished);
-  EXPECT_EQ(a.agreed_version(), b.agreed_version());
-  EXPECT_EQ(a.agreed_version(), wire::kWireVersion);
-}
-
-TEST(VersionNegotiationTest, DisjointHandshakeRejectsWithSpan) {
-  proto::VersionHandshake low(proto::VersionRange{1, 1});
-  proto::VersionHandshake high(proto::VersionRange{7, 9});
-
-  const proto::handshake_wire::Hello hello = ShipOverWire(low.MakeHello());
-  const Result<uint8_t> agreed = high.OnHello(hello);
-  ASSERT_FALSE(agreed.ok());
-  EXPECT_EQ(agreed.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(high.state(), proto::VersionHandshake::State::kRejected);
-
-  // The reject names the refusing side's span and ends the peer's session.
-  const proto::handshake_wire::Reject reject = ShipOverWire(high.MakeReject());
-  EXPECT_EQ(reject.version_min, 7);
-  EXPECT_EQ(reject.version_max, 9);
-  low.OnReject(reject);
-  EXPECT_EQ(low.state(), proto::VersionHandshake::State::kRejected);
 }
 
 // -- Snapshot container (proto/snapshot.h) ----------------------------------
@@ -672,11 +629,11 @@ TEST(SnapshotCodecTest, HorizonRoundTrips) {
 
 TEST(SnapshotCodecTest, StatsRoundTrips) {
   MessageStats stats;
-  stats.Record("expand", 4, 37);
-  stats.Record("expand", 1, 21);
-  stats.Record("ack1", 1, 19);
-  stats.RecordDropped("expand", 2, 29);
-  stats.RecordDecodeError("ack1");
+  stats.Record(InternCategory("expand"), 4, 37);
+  stats.Record(InternCategory("expand"), 1, 21);
+  stats.Record(InternCategory("ack1"), 1, 19);
+  stats.RecordDropped(InternCategory("expand"), 2, 29);
+  stats.RecordDecodeError(InternCategory("ack1"));
 
   const std::vector<uint8_t> body = proto::EncodeStatsSection(stats);
   const Result<proto::StatsImage> img = proto::DecodeStatsSection(body);

@@ -161,7 +161,7 @@ void CheckRoutedSend(Network* net, HopRecorder* rec, int from, int to,
   rec->drops.clear();
   Message m;
   m.type = 1;
-  m.category = "probe";
+  m.category = InternCategory("probe");
   const int got = net->SendRouted(from, to, m);
   if (!distance_first) {
     EXPECT_EQ(net->HopDistance(from, to), want);
@@ -381,7 +381,7 @@ TEST(RoutingDiffTest, DisconnectedDeploymentDropsInsteadOfAborting) {
   net->set_observer(&rec);
   Message m;
   m.type = 1;
-  m.category = "probe";
+  m.category = InternCategory("probe");
   EXPECT_EQ(net->HopDistance(0, 4), -1);
   EXPECT_EQ(net->SendRouted(0, 4, m), 0);
   net->Run();

@@ -301,7 +301,7 @@ class RecorderNode : public Node {
     if (msg.type == 99) {  // Echo request.
       Message reply;
       reply.type = 100;
-      reply.category = "echo";
+      reply.category = InternCategory("echo");
       network()->Send(id(), from, reply);
     }
   }
@@ -325,7 +325,7 @@ TEST(NetworkTest, SendDeliversToNeighborWithUnitDelay) {
   Network& net = *net_ptr;
   Message m;
   m.type = 7;
-  m.category = "test";
+  m.category = InternCategory("test");
   m.doubles = {1.0, 2.0};
   net.Send(0, 1, m);
   net.Run();
@@ -344,7 +344,7 @@ TEST(NetworkTest, BroadcastReachesAllNeighbors) {
   Network& net = *net_ptr;
   Message m;
   m.type = 1;
-  m.category = "bc";
+  m.category = InternCategory("bc");
   net.Broadcast(4, m);  // Center of the 3x3 grid: 4 neighbors.
   net.Run();
   EXPECT_EQ(net.stats().sends("bc"), 4u);
@@ -358,7 +358,7 @@ TEST(NetworkTest, SendRoutedChargesPerHop) {
   Network& net = *net_ptr;
   Message m;
   m.type = 2;
-  m.category = "routed";
+  m.category = InternCategory("routed");
   const int hops = net.SendRouted(0, 8, m);
   EXPECT_EQ(hops, 4);
   net.Run();
@@ -375,7 +375,7 @@ TEST(NetworkTest, SendRoutedToSelfIsLocal) {
   Network& net = *net_ptr;
   Message m;
   m.type = 3;
-  m.category = "self";
+  m.category = InternCategory("self");
   EXPECT_EQ(net.SendRouted(4, 4, m), 0);
   net.Run();
   EXPECT_EQ(net.stats().total_sends(), 0u);
@@ -405,7 +405,7 @@ TEST(NetworkTest, EchoRoundTrip) {
   Network& net = *net_ptr;
   Message m;
   m.type = 99;
-  m.category = "ping";
+  m.category = InternCategory("ping");
   net.Send(3, 4, m);
   net.Run();
   auto* n3 = static_cast<RecorderNode*>(net.node(3));
@@ -419,7 +419,7 @@ TEST(NetworkTest, AsynchronousDelaysVaryButDeliver) {
   Network& net = *net_ptr;
   Message m;
   m.type = 1;
-  m.category = "a";
+  m.category = InternCategory("a");
   net.Send(0, 1, m);
   net.Send(0, 3, m);
   net.Run();
@@ -486,7 +486,7 @@ FanOutRun RunFanOut(bool synchronous, bool churn, bool broadcast) {
         if (!n->IsPresent(from)) continue;
         Message m;
         m.type = round;
-        m.category = "fan";
+        m.category = InternCategory("fan");
         m.ints = {from, round};
         m.doubles = {1.0, 2.0, 3.0};
         if (broadcast) {
@@ -532,9 +532,9 @@ TEST(NetworkTest, BroadcastMatchesIndependentSendsUnderFaultsAndChurn) {
 
 TEST(MessageStatsTest, MergeAndReset) {
   MessageStats a, b;
-  a.Record("x", 2);
-  b.Record("x", 3);
-  b.Record("y", 1);
+  a.Record(InternCategory("x"), 2);
+  b.Record(InternCategory("x"), 3);
+  b.Record(InternCategory("y"), 1);
   a.Merge(b);
   EXPECT_EQ(a.total_units(), 6u);
   EXPECT_EQ(a.units("x"), 5u);
@@ -547,9 +547,9 @@ TEST(MessageStatsTest, MergeAndReset) {
 
 TEST(MessageStatsTest, DroppedSendsStayOutOfDeliveredTotals) {
   MessageStats s;
-  s.Record("x", 2);
-  s.RecordDropped("x", 3);
-  s.RecordDropped("y", 1);
+  s.Record(InternCategory("x"), 2);
+  s.RecordDropped(InternCategory("x"), 3);
+  s.RecordDropped(InternCategory("y"), 1);
   EXPECT_EQ(s.total_sends(), 1u);
   EXPECT_EQ(s.total_units(), 2u);
   EXPECT_EQ(s.dropped_sends(), 2u);
@@ -559,7 +559,7 @@ TEST(MessageStatsTest, DroppedSendsStayOutOfDeliveredTotals) {
   EXPECT_EQ(s.dropped("z"), 0u);
 
   MessageStats other;
-  other.RecordDropped("x", 2);
+  other.RecordDropped(InternCategory("x"), 2);
   s.Merge(other);
   EXPECT_EQ(s.dropped_units(), 6u);
   EXPECT_EQ(s.dropped("x"), 5u);
@@ -574,20 +574,20 @@ TEST(MessageStatsTest, DroppedSendsStayOutOfDeliveredTotals) {
 TEST(MessageStatsTest, MergeCarriesPerCategoryDropsAndDecodeErrors) {
   // Regression: a merge must carry every per-category counter — dropped
   // units/sends and decode errors — not just delivered units, for both
-  // disjoint categories (interned fresh in the destination) and overlapping
-  // ones (ids differ between the two ledgers).
+  // disjoint categories (never charged in the destination) and overlapping
+  // ones.
   MessageStats a;
-  a.Record("shared", 1);
-  a.RecordDropped("shared", 2);
-  a.RecordDecodeError("shared");
-  a.RecordDropped("only_a", 4);
+  a.Record(InternCategory("shared"), 1);
+  a.RecordDropped(InternCategory("shared"), 2);
+  a.RecordDecodeError(InternCategory("shared"));
+  a.RecordDropped(InternCategory("only_a"), 4);
 
   MessageStats b;
-  b.RecordDropped("only_b", 7);     // Disjoint: never seen by `a`.
-  b.RecordDropped("shared", 3);     // Overlapping, different id in `b`.
-  b.RecordDecodeError("shared");
-  b.RecordDecodeError("only_b");
-  b.Record("only_b", 5);
+  b.RecordDropped(InternCategory("only_b"), 7);  // Disjoint: never in `a`.
+  b.RecordDropped(InternCategory("shared"), 3);  // Overlapping.
+  b.RecordDecodeError(InternCategory("shared"));
+  b.RecordDecodeError(InternCategory("only_b"));
+  b.Record(InternCategory("only_b"), 5);
 
   a.Merge(b);
   EXPECT_EQ(a.dropped("shared"), 5u);
@@ -616,9 +616,9 @@ TEST(MessageStatsTest, MergeCarriesPerCategoryDropsAndDecodeErrors) {
 
 TEST(MessageStatsTest, ToStringMentionsDropsOnlyWhenPresent) {
   MessageStats s;
-  s.Record("x", 1);
+  s.Record(InternCategory("x"), 1);
   EXPECT_EQ(s.ToString().find("dropped"), std::string::npos);
-  s.RecordDropped("x", 1);
+  s.RecordDropped(InternCategory("x"), 1);
   EXPECT_NE(s.ToString().find("dropped"), std::string::npos);
 }
 
