@@ -33,13 +33,18 @@
 namespace elink {
 namespace bench {
 
-/// Dies loudly on error results: bench harnesses have no recovery path.
-template <typename T>
-T Unwrap(Result<T> r, const char* what) {
-  if (!r.ok()) {
-    std::fprintf(stderr, "%s failed: %s\n", what, r.status().ToString().c_str());
+/// Dies loudly on an error status: bench harnesses have no recovery path.
+inline void CheckOk(const Status& s, const char* what) {
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what, s.ToString().c_str());
     std::abort();
   }
+}
+
+/// Dies loudly on error results, like CheckOk.
+template <typename T>
+T Unwrap(Result<T> r, const char* what) {
+  CheckOk(r.status(), what);
   return std::move(r).value();
 }
 

@@ -123,9 +123,9 @@ MessageStats RunProfiled(const std::string& protocol, const SensorDataset& ds,
           f[k] = target[k] + rng.Uniform(-0.1, 0.1) * delta;
         }
       }
-      dm.ApplyUpdate(node, f);
+      CheckOk(dm.ApplyUpdate(node, f), "maintenance update");
     }
-    dm.RunToQuiescence();
+    CheckOk(dm.RunToQuiescence(), "maintenance drain");
     return dm.stats();
   }
   if (protocol == "range_query") {

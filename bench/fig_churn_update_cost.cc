@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                               ds.metric, mcfg, /*synchronous=*/false,
                               /*seed=*/7, FaultPlan{}, plan);
     dm.set_observer(&tele);
-    dm.RunToQuiescence();
+    CheckOk(dm.RunToQuiescence(), "churn-aware maintenance");
     const uint64_t incremental = dm.stats().total_units();
     const uint64_t incremental_bytes = dm.stats().total_bytes();
     long long epoch_bumps = 0;

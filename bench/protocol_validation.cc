@@ -131,7 +131,7 @@ void ValidateMaintenance(std::vector<obs::RunReport>* reports) {
     for (int i = 0; i < ds.topology.num_nodes(); ++i) {
       current[i][0] += rng.Normal(0.0, 0.03 * delta);
       session.UpdateFeature(i, current[i]);
-      protocol.ApplyUpdate(i, current[i]);
+      CheckOk(protocol.ApplyUpdate(i, current[i]), "maintenance protocol");
     }
   }
   const Status inv = protocol.ValidateRootDistanceInvariant(delta + 2 * slack);

@@ -492,7 +492,13 @@ void RunMaintenanceTrial(const Scenario& s, CheckOutcome* out,
       // (and fully quiesced) before the clock reaches any churn.
       dm.ScheduleUpdate(at, node, f);
     } else {
-      dm.ApplyUpdate(node, f);
+      const Status st = dm.ApplyUpdate(node, f);
+      if (!st.ok()) {
+        // A capped run leaves the session mid-flight: no later check of its
+        // state means anything.
+        Add(out, "maintenance_event_cap", st.ToString());
+        return;
+      }
       // Republish midway so pooled predicates cached on the previous state
       // get invalidated (or stay warm when nothing drifted far enough to
       // re-cluster) and the batch re-checks them on the new view.
@@ -502,7 +508,11 @@ void RunMaintenanceTrial(const Scenario& s, CheckOutcome* out,
       }
     }
   }
-  dm.RunToQuiescence();
+  const Status drained = dm.RunToQuiescence();
+  if (!drained.ok()) {
+    Add(out, "maintenance_event_cap", drained.ToString());
+    return;
+  }
   if (driver) {
     driver->Publish();
     CheckServedBatch(s, driver.get(), *serve_gen, serve_round++, out);

@@ -633,9 +633,9 @@ DistributedMaintenance::DistributedMaintenance(
 
 DistributedMaintenance::~DistributedMaintenance() = default;
 
-void DistributedMaintenance::ApplyUpdate(int node, const Feature& updated) {
+Status DistributedMaintenance::ApplyUpdate(int node, const Feature& updated) {
   static_cast<MaintNode*>(impl_->net().node(node))->LocalUpdate(updated);
-  impl_->harness->Run();
+  return RunToQuiescence();
 }
 
 void DistributedMaintenance::ScheduleUpdate(double at, int node,
@@ -649,7 +649,13 @@ void DistributedMaintenance::ScheduleUpdate(double at, int node,
   });
 }
 
-void DistributedMaintenance::RunToQuiescence() { impl_->harness->Run(); }
+Status DistributedMaintenance::RunToQuiescence(uint64_t max_events) {
+  if (impl_->harness->Run(max_events).hit_event_cap) {
+    return Status::Internal(
+        "maintenance hit the event cap: protocol runaway or livelock");
+  }
+  return Status::OK();
+}
 
 Clustering DistributedMaintenance::CurrentClustering() const {
   Clustering c;

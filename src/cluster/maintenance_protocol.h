@@ -56,7 +56,9 @@ class DistributedMaintenance {
 
   /// Applies one feature update and simulates until all induced protocol
   /// activity (escalation, detach, probes, pushes, re-attachment) finishes.
-  void ApplyUpdate(int node, const Feature& updated);
+  /// Internal when the run stops at the simulator's event cap instead
+  /// (a runaway or livelocked protocol); the session is then mid-flight.
+  Status ApplyUpdate(int node, const Feature& updated);
 
   /// Schedules a feature update at absolute simulation time `at` (>= now);
   /// it is injected when the clock reaches `at` — interleaving with churn
@@ -66,8 +68,9 @@ class DistributedMaintenance {
   void ScheduleUpdate(double at, int node, const Feature& updated);
 
   /// Drains all pending activity (scheduled updates, churn events, repair
-  /// traffic) without injecting anything new.
-  void RunToQuiescence();
+  /// traffic) without injecting anything new.  Internal when the drain
+  /// dispatches `max_events` events with work still queued.
+  Status RunToQuiescence(uint64_t max_events = Network::kDefaultMaxEvents);
 
   /// Current clustering as held by the nodes themselves.
   Clustering CurrentClustering() const;

@@ -14,7 +14,7 @@ void RunHarness::InstallNodes(const NodeFactory& factory) {
   }
 }
 
-RunHarness::Report RunHarness::Run() {
+RunHarness::Report RunHarness::Run(uint64_t max_events) {
   if (options_.quiet_timeout > 0.0) {
     timed_out_ = false;
     watchdog_last_seen_ = activity_;
@@ -27,7 +27,7 @@ RunHarness::Report RunHarness::Run() {
     net_.ScheduleAfter(options_.run_horizon, [] {});
   }
   Report report;
-  report.events = net_.Run(options_.max_events);
+  report.events = net_.Run(max_events);
   report.hit_event_cap = net_.hit_event_cap();
   report.timed_out = timed_out_;
   report.end_time = net_.Now();

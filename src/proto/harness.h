@@ -41,8 +41,6 @@ class RunHarness {
     /// When > 0, a no-op event at this time keeps the simulation clock
     /// running to at least the horizon (deadline accounting).
     double run_horizon = 0.0;
-    /// Event cap forwarded to Network::Run.
-    uint64_t max_events = 200'000'000ULL;
   };
 
   struct Report {
@@ -84,9 +82,10 @@ class RunHarness {
   /// Total handler invocations (messages + timers) across all nodes.
   uint64_t activity() const { return activity_; }
 
-  /// Arms the watchdog and horizon, then drains the event queue.  May be
-  /// called repeatedly (incremental protocols re-enter between updates).
-  Report Run();
+  /// Arms the watchdog and horizon, then drains the event queue, dispatching
+  /// at most `max_events` events.  May be called repeatedly (incremental
+  /// protocols re-enter between updates).
+  Report Run(uint64_t max_events = Network::kDefaultMaxEvents);
 
  private:
   void WatchdogTick();

@@ -45,15 +45,17 @@ MaintenanceServeDriver::~MaintenanceServeDriver() {
   maintenance_->set_epoch_hook(nullptr);
 }
 
-void MaintenanceServeDriver::ApplyUpdateAndPublish(int node,
-                                                   const Feature& updated) {
-  maintenance_->ApplyUpdate(node, updated);
+Status MaintenanceServeDriver::ApplyUpdateAndPublish(int node,
+                                                     const Feature& updated) {
+  ELINK_RETURN_NOT_OK(maintenance_->ApplyUpdate(node, updated));
   Publish();
+  return Status::OK();
 }
 
-void MaintenanceServeDriver::RunToQuiescenceAndPublish() {
-  maintenance_->RunToQuiescence();
+Status MaintenanceServeDriver::RunToQuiescenceAndPublish() {
+  ELINK_RETURN_NOT_OK(maintenance_->RunToQuiescence());
   Publish();
+  return Status::OK();
 }
 
 void MaintenanceServeDriver::Publish() {

@@ -61,11 +61,14 @@ class MaintenanceServeDriver {
                          const ServeFrontend::Options& options);
   ~MaintenanceServeDriver();
 
-  /// Applies one update, runs the protocol to quiescence, republishes.
-  void ApplyUpdateAndPublish(int node, const Feature& updated);
+  /// Applies one update, runs the protocol to quiescence, republishes.  A
+  /// run that stops at the event cap publishes nothing and returns its
+  /// error: readers keep the last quiescent state.
+  Status ApplyUpdateAndPublish(int node, const Feature& updated);
 
-  /// Drains protocol activity (scheduled updates, churn) and republishes.
-  void RunToQuiescenceAndPublish();
+  /// Drains protocol activity (scheduled updates, churn) and republishes;
+  /// on a capped drain, returns the error without publishing.
+  Status RunToQuiescenceAndPublish();
 
   /// Republishes the protocol's current state without injecting anything.
   void Publish();

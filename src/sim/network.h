@@ -110,8 +110,9 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Installs the protocol object for node `id`.  All nodes must be
-  /// installed before the first Send/SetTimer/Run.
+  /// Installs the protocol object for node `id`, replacing any earlier one.
+  /// All nodes must be installed before the first Send/SetTimer/Run; Run
+  /// checks this against a count of filled slots, in O(1).
   void InstallNode(int id, std::unique_ptr<Node> node);
 
   /// Convenience: installs `factory(id)` for every node id.
@@ -165,12 +166,16 @@ class Network {
 
   double Now() const { return queue_.Now(); }
 
+  /// Default event cap of Run: far above any drained protocol run, so only
+  /// a runaway or livelocked protocol reaches it.
+  static constexpr uint64_t kDefaultMaxEvents = 200'000'000ULL;
+
   /// Runs until the event queue drains or `max_events` dispatches.  Returns
   /// the number of events dispatched; when the cap was hit with work still
   /// queued (a runaway/livelocked protocol), hit_event_cap() reports it and
   /// a warning is logged — callers turn that into a Status instead of the
   /// process aborting.
-  uint64_t Run(uint64_t max_events = 200'000'000ULL);
+  uint64_t Run(uint64_t max_events = kDefaultMaxEvents);
 
   /// Mid-run checkpoint seam for the snapshot layer (proto/snapshot.h).
   ///
@@ -316,6 +321,8 @@ class Network {
   std::vector<uint64_t> timer_cause_pool_;
   std::vector<uint32_t> free_timer_slots_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  // Filled slots of nodes_ (a reinstall into a filled slot does not count).
+  int installed_ = 0;
   MessageStats stats_;
   SimObserver* observer_ = nullptr;
   bool hit_event_cap_ = false;

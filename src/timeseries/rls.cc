@@ -9,6 +9,7 @@ RlsEstimator::RlsEstimator(int num_regressors, double initial_p_scale) {
   ELINK_CHECK(initial_p_scale > 0);
   p_ = Matrix::Identity(num_regressors).Scale(initial_p_scale);
   alpha_.assign(num_regressors, 0.0);
+  g_.resize(num_regressors);
 }
 
 Result<RlsEstimator> RlsEstimator::FromBatch(const Matrix& x, const Vector& y,
@@ -35,27 +36,45 @@ Result<RlsEstimator> RlsEstimator::FromBatch(const Matrix& x, const Vector& y,
   RlsEstimator est;
   est.p_ = std::move(inv).value();
   est.alpha_ = std::move(alpha).value();
+  est.g_.resize(k);
   est.count_ = static_cast<long long>(y.size());
   return est;
 }
 
-void RlsEstimator::Observe(const Vector& x, double y) {
-  ELINK_CHECK(static_cast<int>(x.size()) == num_regressors());
-  // g = P_{k-1} x
-  const Vector g = p_.Multiply(x);
-  // denom = 1 + x^T P_{k-1} x
-  const double denom = 1.0 + Dot(x, g);
-  // P_k = P_{k-1} - g g^T / denom   (equation 7)
+void RlsEstimator::Observe(std::span<const double> x, double y) {
+  ELINK_CHECK(x.size() == alpha_.size());
+  // Keep every sum below in the order Matrix::Multiply and Dot run it:
+  // timeseries_test pins Observe to that Multiply/Dot/Scale chain bit for
+  // bit, so no fingerprint moves.
   const size_t k = x.size();
+  // g = P_{k-1} x
+  for (size_t i = 0; i < k; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j < k; ++j) s += p_(i, j) * x[j];
+    g_[i] = s;
+  }
+  // denom = 1 + x^T P_{k-1} x
+  double xg = 0.0;
+  for (size_t i = 0; i < k; ++i) xg += x[i] * g_[i];
+  const double denom = 1.0 + xg;
+  // P_k = P_{k-1} - g g^T / denom   (equation 7)
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
-      p_(i, j) -= g[i] * g[j] / denom;
+      p_(i, j) -= g_[i] * g_[j] / denom;
     }
   }
   // alpha_k = alpha_{k-1} - P_k (x x^T alpha_{k-1} - x y)   (equation 8)
-  const double innovation = Dot(x, alpha_) - y;  // x^T alpha - y
-  const Vector correction = p_.Multiply(Scale(x, innovation));
-  for (size_t i = 0; i < k; ++i) alpha_[i] -= correction[i];
+  double xa = 0.0;
+  for (size_t i = 0; i < k; ++i) xa += x[i] * alpha_[i];
+  const double innovation = xa - y;  // x^T alpha - y
+  for (size_t i = 0; i < k; ++i) {
+    // Keep the parentheses: x[j] * innovation is rounded on its own, as
+    // Scale rounds it, and FMA contraction cannot absorb a product that
+    // feeds a multiply.
+    double correction = 0.0;
+    for (size_t j = 0; j < k; ++j) correction += p_(i, j) * (x[j] * innovation);
+    alpha_[i] -= correction;
+  }
   ++count_;
 }
 

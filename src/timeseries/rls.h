@@ -10,6 +10,9 @@
 #ifndef ELINK_TIMESERIES_RLS_H_
 #define ELINK_TIMESERIES_RLS_H_
 
+#include <initializer_list>
+#include <span>
+
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -30,8 +33,15 @@ class RlsEstimator {
   static Result<RlsEstimator> FromBatch(const Matrix& x, const Vector& y,
                                         double ridge = 0.0);
 
-  /// Folds in one observation (regressor vector x, response y).
-  void Observe(const Vector& x, double y);
+  /// Folds in one observation (regressor vector x, response y).  O(k^2),
+  /// and allocation-free: its scratch is sized once, with the estimator.
+  void Observe(std::span<const double> x, double y);
+
+  /// Braced regressors, e.g. Observe({x_prev}, y), without building a
+  /// Vector per step.
+  void Observe(std::initializer_list<double> x, double y) {
+    Observe(std::span<const double>(x.begin(), x.size()), y);
+  }
 
   /// Current coefficient estimate.
   const Vector& coefficients() const { return alpha_; }
@@ -49,6 +59,7 @@ class RlsEstimator {
 
   Matrix p_;      // (X X^T)^{-1}
   Vector alpha_;  // Coefficients.
+  Vector g_;      // Observe's scratch for g = P x; k entries.
   long long count_ = 0;
 };
 

@@ -54,8 +54,9 @@ void SeasonalArModel::FinishDay() {
 
   if (recent_daily_means_.size() == 3) {
     // Today's mean regressed on the three preceding daily means.
-    const Vector regressors(recent_daily_means_.begin(),
-                            recent_daily_means_.end());
+    const double regressors[3] = {recent_daily_means_[0],
+                                  recent_daily_means_[1],
+                                  recent_daily_means_[2]};
     daily_mean_rls_.Observe(regressors, mean);
     beta_snapshot_ = daily_mean_rls_.coefficients();
   }

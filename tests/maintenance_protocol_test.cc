@@ -321,5 +321,29 @@ TEST(MaintenanceChurnTest, InertPlanMatchesChurnFreeRun) {
   EXPECT_EQ(inert.churn_drops(), 0u);
 }
 
+TEST(MaintenanceChurnTest, CappedDrainIsAnErrorAndResumes) {
+  // The crash at t = 5 is the first event; the repair at t = 20 is still
+  // queued when a one-event drain stops, so the drain must fail, not
+  // return as if the session had gone quiet.
+  PathFixture fx;
+  MaintenanceConfig cfg;
+  cfg.delta = 4.0;
+  cfg.slack = 1.0;
+  ChurnPlan churn;
+  churn.crashes.push_back({3, 5.0, 20.0});
+  DistributedMaintenance m(fx.topology, fx.clustering, fx.features, OneDim(),
+                           cfg, /*synchronous=*/true, /*seed=*/1, FaultPlan{},
+                           churn);
+  const Status capped = m.RunToQuiescence(/*max_events=*/1);
+  EXPECT_EQ(capped.code(), StatusCode::kInternal);
+  EXPECT_FALSE(m.NodeLive(3));
+  // The session stays usable: an uncapped drain finishes the repair.
+  EXPECT_TRUE(m.RunToQuiescence().ok());
+  EXPECT_TRUE(m.NodeLive(3));
+  EXPECT_EQ(m.CurrentClustering().root_of[3], m.CurrentClustering().root_of[2]);
+  EXPECT_TRUE(m.ApplyUpdate(1, {0.5}).ok());
+  EXPECT_TRUE(m.ValidateRootDistanceInvariant(4.0 + 2.0).ok());
+}
+
 }  // namespace
 }  // namespace elink

@@ -647,6 +647,37 @@ TEST(NetworkTest, EventCapIsRecoverable) {
   EXPECT_FALSE(quiet->hit_event_cap());
 }
 
+// Run's "every node installed" precondition is a count of filled slots, so
+// it must count slots, not InstallNode calls.
+TEST(NetworkDeathTest, RunAbortsWithAnEmptySlot) {
+  Network net(MakeGridTopology(2, 2), Network::Config{});
+  for (int id = 0; id < 3; ++id) {
+    net.InstallNode(id, std::make_unique<RecorderNode>());
+  }
+  EXPECT_DEATH(net.Run(), "installed_ == num_nodes");
+}
+
+TEST(NetworkDeathTest, ReinstallDoesNotFillAnEmptySlot) {
+  // Four install calls, but only three distinct ids: slot 3 is empty.
+  Network net(MakeGridTopology(2, 2), Network::Config{});
+  for (int id : {0, 1, 2, 1}) {
+    net.InstallNode(id, std::make_unique<RecorderNode>());
+  }
+  EXPECT_DEATH(net.Run(), "installed_ == num_nodes");
+}
+
+TEST(NetworkTest, ReinstalledNodeRunsAndReceives) {
+  Network net(MakeGridTopology(2, 2), Network::Config{});
+  net.InstallNodes([](int) { return std::make_unique<RecorderNode>(); });
+  net.InstallNode(1, std::make_unique<RecorderNode>());
+  Message m;
+  m.type = 7;
+  m.category = InternCategory("test");
+  net.Send(0, 1, m);
+  net.Run();
+  EXPECT_EQ(static_cast<RecorderNode*>(net.node(1))->received.size(), 1u);
+}
+
 TEST(MessageTest, CostUnitsRules) {
   Message empty;
   EXPECT_EQ(empty.CostUnits(), 1);

@@ -3,14 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <span>
+#include <string>
 
 #include "common/rng.h"
+#include "data/synthetic.h"
 #include "linalg/solve.h"
 #include "timeseries/ar_model.h"
 #include "timeseries/order_selection.h"
 #include "timeseries/rls.h"
 #include "timeseries/seasonal.h"
+
+// Heap allocations on this thread while counting is on.  The replaceable
+// global operator new below feeds the count, so a test can assert that a
+// call allocates nothing.
+namespace {
+thread_local bool count_allocations = false;
+thread_local long allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (count_allocations) ++allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not inline free() into a caller of new and
+// report a new/free mismatch that the pair above makes correct.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace elink {
 namespace {
@@ -153,6 +181,184 @@ TEST(RlsTest, FromBatchRejectsSingular) {
   // Two identical regressor rows: X X^T singular.
   Matrix x = Matrix::FromRows({{1, 2, 3}, {1, 2, 3}});
   EXPECT_FALSE(RlsEstimator::FromBatch(x, {1, 2, 3}).ok());
+}
+
+// Wider than any model here (they fit k = 1 and 3).
+constexpr int kWideK = 10;
+
+TEST(RlsTest, ObserveAllocatesNothing) {
+  for (int k : {1, 3, kWideK}) {
+    RlsEstimator est(k);
+    const Vector x(k, 0.5);
+    allocations = 0;
+    count_allocations = true;
+    est.Observe(x, 1.0);
+    est.Observe(std::span<const double>(x), -1.0);
+    if (k == 1) est.Observe({0.25}, 2.0);
+    count_allocations = false;
+    EXPECT_EQ(allocations, 0) << "k = " << k;
+  }
+  // A warm start sizes the scratch too.
+  Result<RlsEstimator> warm = RlsEstimator::FromBatch(
+      Matrix::FromRows({{1, 2, 3, 4}, {1, -1, 2, 0}}), {1, 0, 2, 1});
+  ASSERT_TRUE(warm.ok());
+  allocations = 0;
+  count_allocations = true;
+  warm.value().Observe({0.5, 0.25}, 1.0);
+  count_allocations = false;
+  EXPECT_EQ(allocations, 0) << "after FromBatch";
+  // The count is live: constructing an estimator allocates its storage.
+  count_allocations = true;
+  const RlsEstimator probe(2);
+  count_allocations = false;
+  EXPECT_GT(allocations, 0);
+}
+
+// -- RLS against its elink_linalg reference -----------------------------------
+
+// Reference for Observe: the rank-one update written with the elink_linalg
+// helpers (Multiply, Dot, Scale, Multiply), the arithmetic every recorded
+// fingerprint was produced with.  Calling the helpers themselves keeps it
+// computing what they compute under any compiler flags.
+class ReferenceRls {
+ public:
+  explicit ReferenceRls(const RlsEstimator& start)
+      : p_(start.p()), alpha_(start.coefficients()) {}
+
+  void Observe(const Vector& x, double y) {
+    const Vector g = p_.Multiply(x);
+    const double denom = 1.0 + Dot(x, g);
+    const size_t k = x.size();
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = 0; j < k; ++j) {
+        p_(i, j) -= g[i] * g[j] / denom;
+      }
+    }
+    const double innovation = Dot(x, alpha_) - y;
+    const Vector correction = p_.Multiply(Scale(x, innovation));
+    for (size_t i = 0; i < k; ++i) alpha_[i] -= correction[i];
+  }
+
+  const Matrix& p() const { return p_; }
+  const Vector& coefficients() const { return alpha_; }
+
+ private:
+  Matrix p_;
+  Vector alpha_;
+};
+
+// Feeds (x, y) through one of Observe's three entry shapes, by step: a
+// Vector, an explicit span, or a braced list.
+void ObserveVia(int step, const Vector& x, double y, RlsEstimator* est) {
+  if (step % 3 == 0) return est->Observe(x, y);
+  if (step % 3 == 1) return est->Observe(std::span<const double>(x), y);
+  switch (x.size()) {
+    case 1:
+      return est->Observe({x[0]}, y);
+    case 2:
+      return est->Observe({x[0], x[1]}, y);
+    case 3:
+      return est->Observe({x[0], x[1], x[2]}, y);
+    case 4:
+      return est->Observe({x[0], x[1], x[2], x[3]}, y);
+    case kWideK:
+      return est->Observe(
+          {x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7], x[8], x[9]}, y);
+  }
+  FAIL() << "no braced shape for k = " << x.size();
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Runs RlsEstimator and the reference side by side.  EXPECT_DOUBLE_EQ would
+// forgive 4 ulps; Step demands identical bit patterns in alpha and P.
+class RlsLockstep {
+ public:
+  explicit RlsLockstep(int k) : est_(k), ref_(est_) {}
+
+  ::testing::AssertionResult Step(const Vector& x, double y) {
+    ObserveVia(step_, x, y, &est_);
+    ref_.Observe(x, y);
+    ++step_;
+    const size_t k = x.size();
+    for (size_t i = 0; i < k; ++i) {
+      if (!SameBits(est_.coefficients()[i], ref_.coefficients()[i])) {
+        return ::testing::AssertionFailure()
+               << "alpha[" << i << "] differs after step " << step_ << ": "
+               << Hex(est_.coefficients()[i]) << " vs reference "
+               << Hex(ref_.coefficients()[i]);
+      }
+      for (size_t j = 0; j < k; ++j) {
+        if (!SameBits(est_.p()(i, j), ref_.p()(i, j))) {
+          return ::testing::AssertionFailure()
+                 << "P(" << i << "," << j << ") differs after step " << step_
+                 << ": " << Hex(est_.p()(i, j)) << " vs reference "
+                 << Hex(ref_.p()(i, j));
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+ private:
+  static std::string Hex(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+  }
+
+  RlsEstimator est_;
+  ReferenceRls ref_;
+  int step_ = 0;
+};
+
+TEST(RlsDiffTest, SyntheticTrainAndReplayStreamsMatchBitForBit) {
+  // k = 1 on demeaned lags, warmed on the training prefix and then fed the
+  // replay stream: what fig13 and the end-to-end benchmark feed.
+  SyntheticConfig cfg;
+  cfg.num_nodes = 40;
+  cfg.stream_length = 300;
+  cfg.seed = 5;
+  Result<SensorDataset> ds = MakeSyntheticDataset(cfg);
+  ASSERT_TRUE(ds.ok());
+  for (int i = 0; i < cfg.num_nodes; ++i) {
+    const Vector& train = ds.value().train_streams[i];
+    double s = 0.0;
+    for (double v : train) s += v;
+    const double mean = s / static_cast<double>(train.size());
+    RlsLockstep lock(1);
+    for (size_t t = 1; t < train.size(); ++t) {
+      ASSERT_TRUE(lock.Step({train[t - 1] - mean}, train[t] - mean))
+          << "node " << i << ", training";
+    }
+    double prev = train.back() - mean;
+    for (double v : ds.value().streams[i]) {
+      const double x = v - mean;
+      ASSERT_TRUE(lock.Step({prev}, x)) << "node " << i << ", replay";
+      prev = x;
+    }
+  }
+}
+
+TEST(RlsDiffTest, RandomRegressorsMatchBitForBit) {
+  // k = 2..4 cold starts, plus one wide k.
+  for (int k : {2, 3, 4, kWideK}) {
+    Rng rng(900 + k);
+    Vector truth(k);
+    for (double& c : truth) c = rng.Uniform(-1.0, 1.0);
+    RlsLockstep lock(k);
+    for (int t = 0; t < 400; ++t) {
+      Vector x(k);
+      double y = rng.Normal(0.0, 0.1);
+      for (int j = 0; j < k; ++j) {
+        x[j] = rng.Uniform(-1.0, 1.0) * (1.0 + j);
+        y += truth[j] * x[j];
+      }
+      ASSERT_TRUE(lock.Step(x, y)) << "k = " << k;
+    }
+  }
 }
 
 // -- Seasonal Tao model ------------------------------------------------------
