@@ -164,4 +164,43 @@ int Backbone::route_hops(int leader_a, int leader_b) const {
   return b.hops;
 }
 
+UpperIndex::UpperIndex(const Backbone& backbone, const ClusterIndex& index,
+                       const std::vector<Feature>& features,
+                       const DistanceMetric& metric)
+    : slot_(index.num_nodes(), -1) {
+  // Preorder with children ascending: each backbone subtree is the run of
+  // slots from its leader's up to the end of its last child's run.
+  std::vector<int> order;
+  std::vector<int> stack{backbone.tree_root()};
+  first_member_.push_back(0);
+  while (!stack.empty()) {
+    const int leader = stack.back();
+    stack.pop_back();
+    slot_[leader] = static_cast<int>(order.size());
+    order.push_back(leader);
+    const std::vector<int>& own = index.subtree(leader);
+    members_.insert(members_.end(), own.begin(), own.end());
+    first_member_.push_back(static_cast<int>(members_.size()));
+    const std::vector<int>& kids = backbone.tree_children(leader);
+    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+  }
+  const int num = static_cast<int>(order.size());
+  end_.resize(num);
+  radius_.resize(num);
+  for (int slot = num - 1; slot >= 0; --slot) {
+    const int leader = order[slot];
+    double radius = index.root_ball_radius(leader);
+    int end = slot + 1;
+    for (int child : backbone.tree_children(leader)) {
+      const int c = slot_[child];
+      radius = std::max(radius,
+                        metric.Distance(features[leader], features[child]) +
+                            radius_[c]);
+      end = end_[c];
+    }
+    end_[slot] = end;
+    radius_[slot] = radius;
+  }
+}
+
 }  // namespace elink

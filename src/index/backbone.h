@@ -11,10 +11,12 @@
 #define ELINK_INDEX_BACKBONE_H_
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "cluster/clustering.h"
 #include "common/status.h"
+#include "index/mtree.h"
 #include "metric/distance.h"
 #include "sim/stats.h"
 
@@ -86,6 +88,45 @@ class Backbone {
     int hops = 0;
   };
   std::map<int, ParentLink> parent_link_;
+};
+
+/// \brief The upper level of the Section-7.1 index: per leader, a covering
+/// radius and the members of its backbone subtree (its own cluster plus every
+/// cluster below it in the backbone tree), with which queries settle whole
+/// backbone subtrees without visiting them.  Built in one linear pass: in
+/// backbone preorder every subtree is a contiguous run of leaders, so its
+/// members are one contiguous span of the leaders' clusters concatenated.
+class UpperIndex {
+ public:
+  UpperIndex(const Backbone& backbone, const ClusterIndex& index,
+             const std::vector<Feature>& features,
+             const DistanceMetric& metric);
+
+  /// radius(l) = max(root_ball(l), max over backbone children c of
+  /// d(F_l, F_c) + radius(c)): every member of l's backbone subtree lies
+  /// within it of F_l.
+  double radius(int leader) const { return radius_[Slot(leader)]; }
+
+  /// Members of l's backbone subtree, cluster by cluster in preorder; its
+  /// size is the subtree's population.
+  std::span<const int> members(int leader) const {
+    const int slot = Slot(leader);
+    return std::span<const int>(members_.data() + first_member_[slot],
+                                members_.data() + first_member_[end_[slot]]);
+  }
+
+ private:
+  int Slot(int leader) const {
+    const int slot = slot_.at(leader);
+    ELINK_CHECK(slot >= 0);  // Leaders only.
+    return slot;
+  }
+
+  std::vector<int> slot_;          // Node id -> preorder slot, -1 if none.
+  std::vector<int> end_;           // Slot -> one past its subtree's slots.
+  std::vector<double> radius_;     // By slot.
+  std::vector<int> first_member_;  // Slot -> offset into members_.
+  std::vector<int> members_;
 };
 
 }  // namespace elink

@@ -4,6 +4,8 @@
 #include <deque>
 #include <set>
 
+#include "index/screen.h"
+
 namespace elink {
 
 PathQueryEngine::PathQueryEngine(const Clustering& clustering,
@@ -11,58 +13,29 @@ PathQueryEngine::PathQueryEngine(const Clustering& clustering,
                                  const Backbone& backbone,
                                  const AdjacencyList& adjacency,
                                  const std::vector<Feature>& features,
-                                 const DistanceMetric& metric, double delta)
+                                 const DistanceMetric& metric,
+                                 double /*delta*/)
     : clustering_(clustering),
       index_(index),
       backbone_(backbone),
       adjacency_(adjacency),
       features_(features),
       metric_(metric),
-      delta_(delta),
       feature_dim_(features.empty() ? 0
-                                    : static_cast<int>(features[0].size())) {
-  // Upper-level covering radii over backbone subtrees (see
-  // RangeQueryEngine's constructor for the same aggregation).
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
-    for (int child : backbone_.tree_children(leader)) {
-      radius = std::max(
-          radius, metric_.Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
-      members.insert(members.end(), sub.begin(), sub.end());
-    }
-    backbone_radius_[leader] = radius;
-    backbone_members_[leader] = std::move(members);
-  }
-}
+                                    : static_cast<int>(features[0].size())),
+      upper_(backbone, index, features, metric) {}
 
 void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
                                     double gamma, std::vector<char>* safe,
                                     PathQueryResult* result) const {
   const int units = feature_dim_ + 1;
   // Classify this leader's own cluster with the delta-compactness screen.
-  const double screen = index_.root_ball_radius(leader);
+  const double ball = index_.root_ball_radius(leader);
   const double d = metric_.Distance(index_.routing_feature(leader), danger);
-  if (d > gamma + screen + 1e-12) {
+  if (screen::ClusterSafe(d, gamma, ball)) {
     ++result->clusters_safe;
     for (int m : index_.subtree(leader)) (*safe)[m] = 1;
-  } else if (d < gamma - screen - 1e-12) {
+  } else if (screen::ClusterUnsafe(d, gamma, ball)) {
     ++result->clusters_unsafe;
   } else {
     ++result->clusters_drilled;
@@ -70,14 +43,14 @@ void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
   }
   // Decide per backbone child using the cached upper-level radii.
   for (int child : backbone_.tree_children(leader)) {
-    const double child_radius = backbone_radius_.at(child);
+    const double child_radius = upper_.radius(child);
     const double d_child = metric_.Distance(features_[child], danger);
-    if (d_child - child_radius >= gamma - 1e-12) {
+    if (screen::SubtreeSafe(d_child, gamma, child_radius)) {
       // Whole backbone subtree safe: no transmissions needed.
-      for (int m : backbone_members_.at(child)) (*safe)[m] = 1;
+      for (int m : upper_.members(child)) (*safe)[m] = 1;
       continue;
     }
-    if (d_child + child_radius < gamma - 1e-12) {
+    if (screen::SubtreeUnsafe(d_child, gamma, child_radius)) {
       continue;  // Whole backbone subtree unsafe.
     }
     const int hops = backbone_.route_hops(leader, child);
@@ -90,7 +63,7 @@ void PathQueryEngine::VisitBackbone(int leader, const Feature& danger,
 
 bool PathQueryEngine::IsSafe(int node, const Feature& danger,
                              double gamma) const {
-  return metric_.Distance(features_[node], danger) >= gamma - 1e-12;
+  return screen::Safe(metric_.Distance(features_[node], danger), gamma);
 }
 
 void PathQueryEngine::ClassifySubtree(int node, const Feature& danger,
@@ -98,17 +71,17 @@ void PathQueryEngine::ClassifySubtree(int node, const Feature& danger,
                                       PathQueryResult* result) const {
   const double d = metric_.Distance(index_.routing_feature(node), danger);
   const double radius = index_.covering_radius(node);
-  if (d - radius >= gamma - 1e-12) {
+  if (screen::SubtreeSafe(d, gamma, radius)) {
     // Every feature in the subtree is at least gamma from the danger.
     for (int m : index_.subtree(node)) (*safe)[m] = 1;
     return;
   }
-  if (d + radius < gamma - 1e-12) {
+  if (screen::SubtreeUnsafe(d, gamma, radius)) {
     // Every feature in the subtree is unsafe; nothing to mark.
     return;
   }
   // Inconclusive: classify this node exactly and drill into each child.
-  (*safe)[node] = IsSafe(node, danger, gamma) ? 1 : 0;
+  (*safe)[node] = screen::Safe(d, gamma) ? 1 : 0;
   for (int child : index_.children(node)) {
     // Forwarding the danger feature one level down the cluster tree.
     result->stats.Record(CategoryIdOf<"path_drilldown">(), feature_dim_ + 1);
@@ -133,7 +106,7 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
     const int src_root = clustering_.root_of[source];
     const double d =
         metric_.Distance(index_.routing_feature(src_root), danger);
-    if (d + index_.covering_radius(src_root) < gamma - 1e-12) {
+    if (screen::SubtreeUnsafe(d, gamma, index_.covering_radius(src_root))) {
       result.found = false;
       return result;
     }
@@ -152,16 +125,19 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
   }
   std::vector<char> safe(n, 0);
   VisitBackbone(backbone_.tree_root(), danger, gamma, &safe, &result);
+  SearchSafeRegion(source, destination, safe, adjacency_, clustering_,
+                   backbone_, &result);
+  return result;
+}
 
-  if (!safe[source] || !safe[destination]) {
-    result.found = false;
-    return result;
-  }
-
-  // Safe backbone trees: BFS over the safe subgraph from the source.  The
-  // search is charged at cluster granularity — one message per safe-region
-  // link plus the final path trace — reflecting that contiguous safe
-  // clusters are linked by their backbone trees rather than flooded.
+void SearchSafeRegion(int source, int destination,
+                      const std::vector<char>& safe,
+                      const AdjacencyList& adjacency,
+                      const Clustering& clustering, const Backbone& backbone,
+                      PathQueryResult* result) {
+  result->found = false;
+  if (!safe[source] || !safe[destination]) return;
+  const int n = static_cast<int>(adjacency.size());
   std::vector<int> parent(n, -1);
   std::deque<int> queue{source};
   parent[source] = source;
@@ -169,42 +145,38 @@ PathQueryResult PathQueryEngine::Query(int source, int destination,
     const int u = queue.front();
     queue.pop_front();
     if (u == destination) break;
-    for (int v : adjacency_[u]) {
+    for (int v : adjacency[u]) {
       if (safe[v] && parent[v] < 0) {
         parent[v] = u;
         queue.push_back(v);
       }
     }
   }
-  if (parent[destination] < 0) {
-    result.found = false;
-    return result;
-  }
-  result.found = true;
+  if (parent[destination] < 0) return;
+  result->found = true;
   for (int cur = destination; cur != source; cur = parent[cur]) {
-    result.path.push_back(cur);
+    result->path.push_back(cur);
   }
-  result.path.push_back(source);
-  std::reverse(result.path.begin(), result.path.end());
-  // Safe-region search cost: one probe per safe cluster (over its backbone
-  // link) + the path trace back to the source.
+  result->path.push_back(source);
+  std::reverse(result->path.begin(), result->path.end());
+  // One probe per safe cluster over its backbone link, then the path trace
+  // back to the source.
   std::set<int> safe_clusters;
   for (int i = 0; i < n; ++i) {
-    if (safe[i]) safe_clusters.insert(clustering_.root_of[i]);
+    if (safe[i]) safe_clusters.insert(clustering.root_of[i]);
   }
   for (int leader : safe_clusters) {
-    const int p = backbone_.tree_parent(leader);
+    const int p = backbone.tree_parent(leader);
     if (p != leader) {
-      const int hops = backbone_.route_hops(leader, p);
+      const int hops = backbone.route_hops(leader, p);
       for (int h = 0; h < hops; ++h) {
-        result.stats.Record(CategoryIdOf<"path_search">(), 1);
+        result->stats.Record(CategoryIdOf<"path_search">(), 1);
       }
     }
   }
-  for (size_t h = 0; h + 1 < result.path.size(); ++h) {
-    result.stats.Record(CategoryIdOf<"path_trace">(), 1);
+  for (size_t h = 0; h + 1 < result->path.size(); ++h) {
+    result->stats.Record(CategoryIdOf<"path_trace">(), 1);
   }
-  return result;
 }
 
 PathQueryResult PathQueryEngine::BfsBaseline(int source, int destination,

@@ -2,9 +2,10 @@
 //
 // A path query asks for a route from source x to destination y along which
 // every node stays at least gamma away (in feature space) from a danger
-// feature F_D.  Clusters are screened with delta-compactness:
-//   safe   when d(F_root, F_D) >  gamma + delta/2,
-//   unsafe when d(F_root, F_D) <= gamma - delta/2,
+// feature F_D.  Clusters are screened (index/screen.h) with their exact
+// root-ball radius R, at most delta/2 for an ELink cluster:
+//   safe   when d(F_root, F_D) > gamma + R,
+//   unsafe when d(F_root, F_D) < gamma - R,
 // and inconclusive clusters are drilled down through the M-tree until every
 // node is classified.  Spatially contiguous safe regions form safe backbone
 // trees; a path exists iff x and y fall in the same safe region, and the
@@ -13,7 +14,6 @@
 #ifndef ELINK_INDEX_PATH_QUERY_H_
 #define ELINK_INDEX_PATH_QUERY_H_
 
-#include <map>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -41,6 +41,8 @@ struct PathQueryResult {
 /// \brief Executes path queries against one clustering + index + backbone.
 class PathQueryEngine {
  public:
+  /// `delta` is unused: the screens use each cluster's exact root-ball
+  /// radius, which an ELink cluster keeps within delta/2.
   PathQueryEngine(const Clustering& clustering, const ClusterIndex& index,
                   const Backbone& backbone, const AdjacencyList& adjacency,
                   const std::vector<Feature>& features,
@@ -79,13 +81,19 @@ class PathQueryEngine {
   const AdjacencyList& adjacency_;
   const std::vector<Feature>& features_;
   const DistanceMetric& metric_;
-  double delta_;
   int feature_dim_;
-  /// Upper-level covering radius per leader over its backbone subtree.
-  std::map<int, double> backbone_radius_;
-  /// All member nodes of each leader's backbone subtree.
-  std::map<int, std::vector<int>> backbone_members_;
+  UpperIndex upper_;
 };
+
+/// The safe-region search PathQueryEngine::Query and DistributedPathQuery::Run
+/// end with once `safe` classifies every node: a BFS over safe nodes sets
+/// `result->found` and the path, charged at cluster granularity (path_search
+/// per hop of each safe cluster's backbone link, path_trace per path hop).
+void SearchSafeRegion(int source, int destination,
+                      const std::vector<char>& safe,
+                      const AdjacencyList& adjacency,
+                      const Clustering& clustering, const Backbone& backbone,
+                      PathQueryResult* result);
 
 }  // namespace elink
 

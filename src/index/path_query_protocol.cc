@@ -1,12 +1,11 @@
 #include "index/path_query_protocol.h"
 
-#include <algorithm>
-#include <deque>
-#include <set>
+#include <span>
 #include <utility>
 
 #include "common/strings.h"
 #include "index/path_wire.h"
+#include "index/screen.h"
 #include "proto/harness.h"
 #include "proto/node.h"
 
@@ -34,7 +33,7 @@ struct PathNodeState {
     int id = -1;
     const Feature* feature = nullptr;
     double subtree_radius = 0.0;
-    const std::vector<int>* members = nullptr;
+    std::span<const int> members;
   };
   std::vector<BackboneChild> backbone_children;
 };
@@ -105,7 +104,7 @@ class PathNode : public proto::ProtocolNode {
   /// The query reached the source's cluster root: suppress or escalate.
   void LeaderEntry() {
     const double d = DangerDist(*state_->routing_feature);
-    if (d + state_->covering_radius < ctx_->gamma - 1e-12) {
+    if (screen::SubtreeUnsafe(d, ctx_->gamma, state_->covering_radius)) {
       // Own cluster conclusively unsafe: kill the query here (Section 7.3),
       // no further transmissions.
       ctx_->suppressed = true;
@@ -128,12 +127,12 @@ class PathNode : public proto::ProtocolNode {
     visiting_ = true;
     visit_reply_to_ = reply_to;
     // Own-cluster screen with the exact root-ball radius.
-    const double screen = state_->root_ball;
+    const double ball = state_->root_ball;
     const double d = DangerDist(*state_->routing_feature);
-    if (d > ctx_->gamma + screen + 1e-12) {
+    if (screen::ClusterSafe(d, ctx_->gamma, ball)) {
       ++ctx_->clusters_safe;
       for (int m : *state_->subtree) ctx_->safe[m] = 1;
-    } else if (d < ctx_->gamma - screen - 1e-12) {
+    } else if (screen::ClusterUnsafe(d, ctx_->gamma, ball)) {
       ++ctx_->clusters_unsafe;
     } else {
       ++ctx_->clusters_drilled;
@@ -143,11 +142,13 @@ class PathNode : public proto::ProtocolNode {
     // inconclusive subtrees cost a routed visit.
     for (const auto& child : state_->backbone_children) {
       const double d_child = DangerDist(*child.feature);
-      if (d_child - child.subtree_radius >= ctx_->gamma - 1e-12) {
-        for (int m : *child.members) ctx_->safe[m] = 1;
+      if (screen::SubtreeSafe(d_child, ctx_->gamma, child.subtree_radius)) {
+        for (int m : child.members) ctx_->safe[m] = 1;
         continue;
       }
-      if (d_child + child.subtree_radius < ctx_->gamma - 1e-12) continue;
+      if (screen::SubtreeUnsafe(d_child, ctx_->gamma, child.subtree_radius)) {
+        continue;
+      }
       w::PathVisit m;
       m.sender = id();
       m.danger = ctx_->danger;
@@ -166,18 +167,18 @@ class PathNode : public proto::ProtocolNode {
   void DrillLocal(int reply_hop) {
     const double d = DangerDist(*state_->routing_feature);
     const double radius = state_->covering_radius;
-    if (d - radius >= ctx_->gamma - 1e-12) {
+    if (screen::SubtreeSafe(d, ctx_->gamma, radius)) {
       for (int m : *state_->subtree) ctx_->safe[m] = 1;
       if (reply_hop >= 0) Send(reply_hop, w::PathDrillDone{});
       return;
     }
-    if (d + radius < ctx_->gamma - 1e-12) {
+    if (screen::SubtreeUnsafe(d, ctx_->gamma, radius)) {
       if (reply_hop >= 0) Send(reply_hop, w::PathDrillDone{});
       return;
     }
     // Inconclusive: classify this node exactly, drill into each child.
     TracePhase("path.drill", reply_hop);
-    ctx_->safe[id()] = d >= ctx_->gamma - 1e-12 ? 1 : 0;
+    ctx_->safe[id()] = screen::Safe(d, ctx_->gamma) ? 1 : 0;
     drill_parent_ = reply_hop;
     for (int child : *state_->mtree_children) {
       w::PathDrill m;
@@ -231,37 +232,8 @@ DistributedPathQuery::DistributedPathQuery(
       backbone_(backbone),
       features_(features),
       metric_(std::move(metric)),
-      options_(options) {
-  // Upper-level covering radii over backbone subtrees, children before
-  // parents (identical aggregation to PathQueryEngine's constructor).
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
-    for (int child : backbone_.tree_children(leader)) {
-      radius = std::max(
-          radius, metric_->Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
-      members.insert(members.end(), sub.begin(), sub.end());
-    }
-    backbone_radius_[leader] = radius;
-    backbone_members_[leader] = std::move(members);
-  }
-}
+      options_(options),
+      upper_(backbone, index, features, *metric_) {}
 
 Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
                                                   const Feature& danger,
@@ -271,6 +243,9 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
     return Status::InvalidArgument(
         StringPrintf("path query endpoints (%d, %d) out of range [0, %d)",
                      source, destination, n));
+  }
+  if (danger.size() != features_[source].size()) {
+    return Status::InvalidArgument("danger feature has the wrong dimension");
   }
 
   // Deployment: hand every node its slice of the cluster/index/backbone
@@ -295,8 +270,8 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
       PathNodeState::BackboneChild c;
       c.id = child;
       c.feature = &features_[child];
-      c.subtree_radius = backbone_radius_.at(child);
-      c.members = &backbone_members_.at(child);
+      c.subtree_radius = upper_.radius(child);
+      c.members = upper_.members(child);
       s.backbone_children.push_back(c);
     }
   }
@@ -343,52 +318,9 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
   result.clusters_safe = ctx.clusters_safe;
   result.clusters_unsafe = ctx.clusters_unsafe;
   result.clusters_drilled = ctx.clusters_drilled;
-  if (ctx.suppressed || !ctx.safe[source] || !ctx.safe[destination]) {
-    result.found = false;
-    return result;
-  }
-
-  // Safe backbone trees: the search over the assembled safe map runs at
-  // cluster granularity, identically to PathQueryEngine::Query.
-  std::vector<int> parent(n, -1);
-  std::deque<int> queue{source};
-  parent[source] = source;
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (u == destination) break;
-    for (int v : topology_.adjacency[u]) {
-      if (ctx.safe[v] && parent[v] < 0) {
-        parent[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  if (parent[destination] < 0) {
-    result.found = false;
-    return result;
-  }
-  result.found = true;
-  for (int cur = destination; cur != source; cur = parent[cur]) {
-    result.path.push_back(cur);
-  }
-  result.path.push_back(source);
-  std::reverse(result.path.begin(), result.path.end());
-  std::set<int> safe_clusters;
-  for (int i = 0; i < n; ++i) {
-    if (ctx.safe[i]) safe_clusters.insert(clustering_.root_of[i]);
-  }
-  for (int leader : safe_clusters) {
-    const int p = backbone_.tree_parent(leader);
-    if (p != leader) {
-      const int hops = backbone_.route_hops(leader, p);
-      for (int h = 0; h < hops; ++h) {
-        result.stats.Record(CategoryIdOf<"path_search">(), 1);
-      }
-    }
-  }
-  for (size_t h = 0; h + 1 < result.path.size(); ++h) {
-    result.stats.Record(CategoryIdOf<"path_trace">(), 1);
+  if (!ctx.suppressed) {
+    SearchSafeRegion(source, destination, ctx.safe, topology_.adjacency,
+                     clustering_, backbone_, &result);
   }
   return result;
 }

@@ -7,14 +7,13 @@
 // backbone root, and is then disseminated selectively down the backbone —
 // pruned subtrees cost nothing, inconclusive leaders drill their cluster's
 // M-tree with per-edge messages, and completion acks aggregate back up.
-// The safe-region search that follows classification runs on the assembled
-// safe map at cluster granularity, exactly like the engine.  Tests replay
+// The safe-region search that follows classification is the engine's own
+// (SearchSafeRegion), run on the assembled safe map.  Tests replay
 // identical queries through both implementations and check that outcomes
 // and per-category costs agree.
 #ifndef ELINK_INDEX_PATH_QUERY_PROTOCOL_H_
 #define ELINK_INDEX_PATH_QUERY_PROTOCOL_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -57,7 +56,9 @@ class DistributedPathQuery {
   /// Finds a safe path from `source` to `destination` avoiding `danger` by
   /// at least `gamma`.  Outcome semantics match PathQueryEngine::Query; the
   /// returned stats additionally carry the protocol's completion acks under
-  /// "path_collect".
+  /// "path_collect".  Returns InvalidArgument for an endpoint out of range
+  /// or a danger feature whose length is not the deployment's feature
+  /// dimension.
   Result<PathQueryResult> Run(int source, int destination,
                               const Feature& danger, double gamma);
 
@@ -69,10 +70,7 @@ class DistributedPathQuery {
   const std::vector<Feature>& features_;
   std::shared_ptr<const DistanceMetric> metric_;
   PathProtocolOptions options_;
-  /// Upper-level covering radius per leader over its backbone subtree.
-  std::map<int, double> backbone_radius_;
-  /// All member nodes of each leader's backbone subtree.
-  std::map<int, std::vector<int>> backbone_members_;
+  UpperIndex upper_;
 };
 
 }  // namespace elink

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "index/query_wire.h"
+#include "index/screen.h"
 #include "proto/harness.h"
 
 namespace elink {
@@ -256,9 +257,9 @@ class QueryNode : public proto::ProtocolNode {
 
     // Own cluster screen (Section 7.2) with the exact root-ball radius.
     const double d_root = Dist(ctx_->q, feature_);
-    if (d_root > ctx_->r + state_->root_ball + 1e-12) {
+    if (screen::BallOutOfRange(d_root, ctx_->r, state_->root_ball)) {
       // Excluded: contributes nothing.
-    } else if (d_root <= ctx_->r - state_->root_ball + 1e-12) {
+    } else if (screen::BallInRange(d_root, ctx_->r, state_->root_ball)) {
       count_ += state_->population;  // Whole cluster matches.
     } else {
       // M-tree descent rooted here.
@@ -268,10 +269,10 @@ class QueryNode : public proto::ProtocolNode {
     // Backbone children via the cached upper-level summaries.
     for (const auto& child : state_->backbone_children) {
       const double d_child = Dist(ctx_->q, child.feature);
-      if (d_child > ctx_->r + child.subtree_radius + 1e-12) {
+      if (screen::BallOutOfRange(d_child, ctx_->r, child.subtree_radius)) {
         continue;  // Whole subtree excluded, no transmission.
       }
-      if (d_child <= ctx_->r - child.subtree_radius + 1e-12) {
+      if (screen::BallInRange(d_child, ctx_->r, child.subtree_radius)) {
         w::BackboneInclude m;
         m.sender = id();
         m.payload = PayloadIfMultiUnit();
@@ -293,15 +294,16 @@ class QueryNode : public proto::ProtocolNode {
   /// Self-test plus M-tree child decisions (both for leaders starting a
   /// descent and for interior nodes receiving a descend).
   void DescendBody() {
-    if (Dist(ctx_->q, feature_) <= ctx_->r + 1e-12) ++count_;
+    const double d_self = Dist(ctx_->q, feature_);
+    if (screen::InRange(d_self, ctx_->r)) ++count_;
     for (const auto& child : state_->mtree_children) {
       const double d_link = Dist(feature_, child.routing_feature);
-      const double d_self = Dist(ctx_->q, feature_);
-      if (std::fabs(d_self - d_link) >
-          ctx_->r + child.covering_radius + 1e-12) {
+      if (screen::ChildOutOfRange(d_self, d_link, ctx_->r,
+                                  child.covering_radius)) {
         continue;  // Subtree excluded via the parent-side bound.
       }
-      if (d_self + d_link <= ctx_->r - child.covering_radius + 1e-12) {
+      if (screen::ChildInRange(d_self, d_link, ctx_->r,
+                               child.covering_radius)) {
         w::DescendInclude m;
         m.payload = QueryPayload();
         Send(child.id, m);
@@ -387,20 +389,6 @@ DistributedRangeQuery::DistributedRangeQuery(
     const Topology& topology, const Clustering& clustering,
     const ClusterIndex& index, const Backbone& backbone,
     const std::vector<Feature>& features,
-    std::shared_ptr<const DistanceMetric> metric, bool synchronous,
-    uint64_t seed)
-    : DistributedRangeQuery(topology, clustering, index, backbone, features,
-                            std::move(metric), [&] {
-                              ProtocolOptions o;
-                              o.synchronous = synchronous;
-                              o.seed = seed;
-                              return o;
-                            }()) {}
-
-DistributedRangeQuery::DistributedRangeQuery(
-    const Topology& topology, const Clustering& clustering,
-    const ClusterIndex& index, const Backbone& backbone,
-    const std::vector<Feature>& features,
     std::shared_ptr<const DistanceMetric> metric, ProtocolOptions options)
     : topology_(topology),
       clustering_(clustering),
@@ -408,35 +396,8 @@ DistributedRangeQuery::DistributedRangeQuery(
       backbone_(backbone),
       features_(features),
       metric_(std::move(metric)),
-      options_(std::move(options)) {
-  // Upper-level summaries, children before parents.
-  std::vector<int> order = backbone_.leaders();
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    long long pop = static_cast<long long>(index_.subtree(leader).size());
-    for (int child : backbone_.tree_children(leader)) {
-      radius = std::max(
-          radius, metric_->Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      pop += backbone_population_.at(child);
-    }
-    backbone_radius_[leader] = radius;
-    backbone_population_[leader] = pop;
-  }
-}
+      options_(std::move(options)),
+      upper_(backbone, index, features, *metric_) {}
 
 Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
                                                            const Feature& q,
@@ -445,6 +406,9 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
     return Status::InvalidArgument("initiator out of range");
   }
   if (r < 0) return Status::InvalidArgument("radius must be non-negative");
+  if (q.size() != features_[initiator].size()) {
+    return Status::InvalidArgument("query feature has the wrong dimension");
+  }
 
   // Per-node protocol state.
   const int n = topology_.num_nodes();
@@ -465,9 +429,9 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
       s.root_ball = index_.root_ball_radius(i);
       s.population = static_cast<long long>(index_.subtree(i).size());
       for (int child : backbone_.tree_children(i)) {
-        s.backbone_children.push_back({child, features_[child],
-                                       backbone_radius_.at(child),
-                                       backbone_population_.at(child)});
+        s.backbone_children.push_back(
+            {child, features_[child], upper_.radius(child),
+             static_cast<long long>(upper_.members(child).size())});
       }
     }
   }

@@ -16,7 +16,6 @@
 #ifndef ELINK_INDEX_QUERY_PROTOCOL_H_
 #define ELINK_INDEX_QUERY_PROTOCOL_H_
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -101,18 +100,12 @@ class DistributedRangeQuery {
                         std::shared_ptr<const DistanceMetric> metric,
                         ProtocolOptions options);
 
-  /// Back-compat convenience: fault-free options.
-  DistributedRangeQuery(const Topology& topology,
-                        const Clustering& clustering,
-                        const ClusterIndex& index, const Backbone& backbone,
-                        const std::vector<Feature>& features,
-                        std::shared_ptr<const DistanceMetric> metric,
-                        bool synchronous = true, uint64_t seed = 1);
-
   /// Runs one query to completion.  Under fault injection with deadlines
   /// configured the outcome may be flagged partial (`complete == false`)
   /// instead of an error; returns Internal only for genuine protocol bugs
-  /// (non-termination without a fault plan, event-cap runaway).
+  /// (non-termination without a fault plan, event-cap runaway), and
+  /// InvalidArgument for an initiator out of range, a negative radius, or a
+  /// query feature whose length is not the deployment's feature dimension.
   Result<DistributedQueryOutcome> Run(int initiator, const Feature& q,
                                       double r);
 
@@ -124,11 +117,9 @@ class DistributedRangeQuery {
   const std::vector<Feature>& features_;
   std::shared_ptr<const DistanceMetric> metric_;
   ProtocolOptions options_;
-
-  // Upper-level summaries, precomputed once (leaders would learn these
-  // during backbone construction).
-  std::map<int, double> backbone_radius_;
-  std::map<int, long long> backbone_population_;
+  // Upper-level summaries (leaders would learn these during backbone
+  // construction).
+  UpperIndex upper_;
 };
 
 }  // namespace elink

@@ -1,7 +1,8 @@
 #include "index/range_query.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "index/screen.h"
 
 namespace elink {
 
@@ -9,56 +10,22 @@ RangeQueryEngine::RangeQueryEngine(const Clustering& clustering,
                                    const ClusterIndex& index,
                                    const Backbone& backbone,
                                    const std::vector<Feature>& features,
-                                   const DistanceMetric& metric, double delta)
+                                   const DistanceMetric& metric,
+                                   double /*delta*/)
     : clustering_(clustering),
       index_(index),
       backbone_(backbone),
       features_(features),
       metric_(metric),
-      delta_(delta),
       feature_dim_(features.empty() ? 0
-                                    : static_cast<int>(features[0].size())) {
-  // Upper level of the hierarchical index (Section 7.1): every leader
-  // maintains a covering radius over its *backbone subtree* — its own
-  // cluster plus all clusters below it in the backbone tree — aggregated
-  // bottom-up exactly like the in-cluster M-tree radii.  Query dissemination
-  // then prunes whole backbone subtrees without visiting them.
-  std::vector<int> order = backbone_.leaders();
-  // Children before parents: sort by decreasing depth in the backbone tree.
-  auto depth = [&](int leader) {
-    int d = 0;
-    for (int cur = leader; backbone_.tree_parent(cur) != cur;
-         cur = backbone_.tree_parent(cur)) {
-      ++d;
-    }
-    return d;
-  };
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth(a), db = depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int leader : order) {
-    double radius = index_.root_ball_radius(leader);
-    std::vector<int> members = index_.subtree(leader);
-    for (int child : backbone_.tree_children(leader)) {
-      radius = std::max(
-          radius, metric_.Distance(features_[leader], features_[child]) +
-                      backbone_radius_.at(child));
-      const auto& sub = backbone_members_.at(child);
-      members.insert(members.end(), sub.begin(), sub.end());
-    }
-    backbone_radius_[leader] = radius;
-    std::sort(members.begin(), members.end());
-    backbone_members_[leader] = std::move(members);
-  }
-}
+                                    : static_cast<int>(features[0].size())),
+      upper_(backbone, index, features, metric) {}
 
 std::vector<int> RangeQueryEngine::LinearScan(const Feature& q,
                                               double r) const {
   std::vector<int> out;
   for (size_t i = 0; i < features_.size(); ++i) {
-    if (metric_.Distance(q, features_[i]) <= r + 1e-12) {
+    if (screen::InRange(metric_.Distance(q, features_[i]), r)) {
       out.push_back(static_cast<int>(i));
     }
   }
@@ -103,11 +70,11 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
                                      RangeQueryResult* result) const {
   const int query_units = feature_dim_ + 1;
   // Screen this leader's own cluster (Section 7.2).
-  const double screen = index_.root_ball_radius(leader);
+  const double ball = index_.root_ball_radius(leader);
   const double d_root = metric_.Distance(q, index_.routing_feature(leader));
-  if (d_root > r + screen + 1e-12) {
+  if (screen::BallOutOfRange(d_root, r, ball)) {
     ++result->clusters_excluded;
-  } else if (d_root <= r - screen + 1e-12) {
+  } else if (screen::BallInRange(d_root, r, ball)) {
     ++result->clusters_included;
     const auto& all = index_.subtree(leader);
     result->matches.insert(result->matches.end(), all.begin(), all.end());
@@ -118,32 +85,27 @@ void RangeQueryEngine::VisitBackbone(int leader, const Feature& q, double r,
   // Decide per backbone child using the upper-level covering radii the
   // parent caches for its children.
   for (int child : backbone_.tree_children(leader)) {
-    const double child_radius = backbone_radius_.at(child);
+    const double child_radius = upper_.radius(child);
     const double d_child = metric_.Distance(q, features_[child]);
-    if (d_child > r + child_radius + 1e-12) {
+    if (screen::BallOutOfRange(d_child, r, child_radius)) {
       // Entire backbone subtree excluded without any transmission.
       result->backbone_subtrees_pruned += 1;
       continue;
     }
-    if (d_child <= r - child_radius + 1e-12) {
-      // Entire backbone subtree matches; one aggregate exchange.
-      const auto& all = backbone_members_.at(child);
-      result->matches.insert(result->matches.end(), all.begin(), all.end());
-      const int hops = backbone_.route_hops(leader, child);
-      for (int h = 0; h < hops; ++h) {
-        result->stats.Record(CategoryIdOf<"query_backbone">(), query_units);
-        result->stats.Record(CategoryIdOf<"query_collect">(), 1);
-      }
-      result->backbone_subtrees_included += 1;
-      continue;
-    }
-    // Inconclusive: forward the query over this backbone link and recurse.
+    // The query crosses this backbone link and one reply comes back.
     const int hops = backbone_.route_hops(leader, child);
     for (int h = 0; h < hops; ++h) {
       result->stats.Record(CategoryIdOf<"query_backbone">(), query_units);
       result->stats.Record(CategoryIdOf<"query_collect">(), 1);
     }
-    VisitBackbone(child, q, r, result);
+    if (screen::BallInRange(d_child, r, child_radius)) {
+      // Entire backbone subtree matches: its aggregate is the reply.
+      const std::span<const int> all = upper_.members(child);
+      result->matches.insert(result->matches.end(), all.begin(), all.end());
+      result->backbone_subtrees_included += 1;
+    } else {
+      VisitBackbone(child, q, r, result);  // Inconclusive: recurse.
+    }
   }
 }
 
@@ -152,7 +114,7 @@ void RangeQueryEngine::DescendMTree(int node, const Feature& q, double r,
   // Node `node` holds the query: test itself, then decide per child.
   const Feature& f_node = index_.routing_feature(node);
   const double d_node = metric_.Distance(q, f_node);
-  if (d_node <= r + 1e-12) {
+  if (screen::InRange(d_node, r)) {
     result->matches.push_back(node);
     // One aggregation unit for reporting the hit back up.
     result->stats.Record(CategoryIdOf<"query_collect">(), 1);
@@ -161,13 +123,11 @@ void RangeQueryEngine::DescendMTree(int node, const Feature& q, double r,
     const double d_link =
         metric_.Distance(f_node, index_.routing_feature(child));
     const double r_child = index_.covering_radius(child);
-    // Parent-side pruning (Section 7.1): the child's subtree lies within
-    // r_child of its routing feature, whose distance to q is within
-    // [d_node - d_link, d_node + d_link].
-    if (std::fabs(d_node - d_link) > r + r_child + 1e-12) {
+    // Parent-side pruning (Section 7.1).
+    if (screen::ChildOutOfRange(d_node, d_link, r, r_child)) {
       continue;  // Entire subtree excluded without visiting it.
     }
-    if (d_node + d_link <= r - r_child + 1e-12) {
+    if (screen::ChildInRange(d_node, d_link, r, r_child)) {
       // Entire subtree matches; child answers with an aggregate.
       const auto& all = index_.subtree(child);
       result->matches.insert(result->matches.end(), all.begin(), all.end());

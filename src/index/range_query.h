@@ -3,16 +3,16 @@
 // A range query (q, r) retrieves all nodes whose features lie within
 // distance r of the query feature q.  The initiator routes the query to its
 // cluster root; the query floods the leader backbone; every root first
-// applies the delta-compactness screen
-//   exclude the cluster when d(q, F_root) >  r + delta/2,
-//   include the whole cluster when d(q, F_root) <= r - delta/2,
+// applies the delta-compactness screen (index/screen.h) with its exact
+// root-ball radius R, at most delta/2 for an ELink cluster:
+//   exclude the cluster when d(q, F_root) >  r + R,
+//   include the whole cluster when d(q, F_root) <= r - R,
 // and only in the inconclusive middle band descends the cluster's M-tree,
 // pruning subtrees with the covering-radius conditions of Section 7.1.
 // Results aggregate back over the cluster trees and the backbone.
 #ifndef ELINK_INDEX_RANGE_QUERY_H_
 #define ELINK_INDEX_RANGE_QUERY_H_
 
-#include <map>
 #include <vector>
 
 #include "cluster/clustering.h"
@@ -46,6 +46,8 @@ struct RangeQueryResult {
 /// \brief Executes range queries against one clustering + index + backbone.
 class RangeQueryEngine {
  public:
+  /// `delta` is unused: the screens use each cluster's exact root-ball
+  /// radius, which an ELink cluster keeps within delta/2.
   RangeQueryEngine(const Clustering& clustering, const ClusterIndex& index,
                    const Backbone& backbone,
                    const std::vector<Feature>& features,
@@ -69,12 +71,8 @@ class RangeQueryEngine {
   const Backbone& backbone_;
   const std::vector<Feature>& features_;
   const DistanceMetric& metric_;
-  double delta_;
   int feature_dim_;
-  /// Upper-level covering radius per leader over its backbone subtree.
-  std::map<int, double> backbone_radius_;
-  /// All member nodes of each leader's backbone subtree, ascending.
-  std::map<int, std::vector<int>> backbone_members_;
+  UpperIndex upper_;
 };
 
 }  // namespace elink

@@ -1,5 +1,7 @@
 #include "index/tag.h"
 
+#include "index/screen.h"
+
 namespace elink {
 
 TagAggregator::TagAggregator(const AdjacencyList& adjacency, int base_station,
@@ -32,7 +34,7 @@ std::vector<int> TagAggregator::RangeQuery(const Feature& q, double r,
   std::vector<double> dists(pool_.size());
   metric_.BatchDistance(q, pool_, dists.data());
   for (size_t i = 0; i < dists.size(); ++i) {
-    if (dists[i] <= r + 1e-12) matches.push_back(static_cast<int>(i));
+    if (screen::InRange(dists[i], r)) matches.push_back(static_cast<int>(i));
   }
   return matches;
 }

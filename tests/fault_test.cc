@@ -630,39 +630,5 @@ TEST(QueryFaultTest, ReliableTransportRecoversExactAnswerUnderLoss) {
   EXPECT_GT(retx, 0u);
 }
 
-TEST(QueryFaultTest, FaultFreeOptionsMatchBackCompatConstructor) {
-  const SensorDataset ds = SmallTerrain(70);
-  ElinkConfig cfg;
-  cfg.delta = 0.35 * FeatureDiameter(ds);
-  cfg.seed = 7;
-  auto clustered = RunElink(ds, cfg, ElinkMode::kImplicit);
-  ASSERT_TRUE(clustered.ok());
-  const Clustering& clustering = clustered.value().clustering;
-  const auto tree = BuildClusterTrees(clustering, ds.topology.adjacency);
-  const ClusterIndex index =
-      ClusterIndex::Build(clustering, tree, ds.features, *ds.metric);
-  const Backbone backbone =
-      Backbone::Build(clustering, ds.topology.adjacency, nullptr,
-                      &ds.features, ds.metric.get());
-
-  DistributedRangeQuery::ProtocolOptions opt;
-  opt.seed = 3;
-  DistributedRangeQuery with_options(ds.topology, clustering, index, backbone,
-                                     ds.features, ds.metric, opt);
-  DistributedRangeQuery back_compat(ds.topology, clustering, index, backbone,
-                                    ds.features, ds.metric,
-                                    /*synchronous=*/true, /*seed=*/3);
-  const double r = 0.5 * FeatureDiameter(ds);
-  auto a = with_options.Run(0, ds.features[0], r);
-  auto b = back_compat.Run(0, ds.features[0], r);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().match_count, b.value().match_count);
-  EXPECT_DOUBLE_EQ(a.value().latency, b.value().latency);
-  EXPECT_EQ(a.value().stats.ToString(), b.value().stats.ToString());
-  EXPECT_TRUE(a.value().complete);
-  EXPECT_EQ(a.value().unreachable_subtrees, 0);
-}
-
 }  // namespace
 }  // namespace elink

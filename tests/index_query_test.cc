@@ -1,10 +1,15 @@
 // Tests for src/index: M-tree invariants, backbone structure, range-query
-// exactness + pruning, path-query safety, and the TAG baseline.
+// exactness + pruning, the upper index, path-query safety, and the TAG
+// baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
 
 #include "baselines/centralized_cost.h"
 #include "cluster/elink.h"
@@ -172,6 +177,117 @@ TEST(BackboneTest, BuildCostRecorded) {
   if (fx.backbone->leaders().size() > 1) {
     EXPECT_GT(stats.units("backbone_build"), 0u);
   }
+}
+
+// -- Upper index ----------------------------------------------------------------
+
+/// The upper level as each query class used to build it: leaders sorted by
+/// decreasing backbone depth (ties by id), then radius(l) = max(root ball,
+/// max over children of d(F_l, F_c) + radius(c)) and the member list and
+/// population of every backbone subtree, all kept in maps.
+struct DepthSortedUpper {
+  std::map<int, double> radius;
+  std::map<int, std::vector<int>> members;  // Ascending.
+  std::map<int, long long> population;
+};
+
+DepthSortedUpper BuildDepthSortedUpper(const Backbone& backbone,
+                                       const ClusterIndex& index,
+                                       const std::vector<Feature>& features,
+                                       const DistanceMetric& metric) {
+  DepthSortedUpper ref;
+  std::vector<int> order = backbone.leaders();
+  auto depth = [&](int leader) {
+    int d = 0;
+    for (int cur = leader; backbone.tree_parent(cur) != cur;
+         cur = backbone.tree_parent(cur)) {
+      ++d;
+    }
+    return d;
+  };
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const int da = depth(a), db = depth(b);
+    if (da != db) return da > db;
+    return a < b;
+  });
+  for (int leader : order) {
+    double radius = index.root_ball_radius(leader);
+    std::vector<int> members = index.subtree(leader);
+    long long pop = static_cast<long long>(index.subtree(leader).size());
+    for (int child : backbone.tree_children(leader)) {
+      radius = std::max(radius,
+                        metric.Distance(features[leader], features[child]) +
+                            ref.radius.at(child));
+      const auto& sub = ref.members.at(child);
+      members.insert(members.end(), sub.begin(), sub.end());
+      pop += ref.population.at(child);
+    }
+    ref.radius[leader] = radius;
+    std::sort(members.begin(), members.end());
+    ref.members[leader] = std::move(members);
+    ref.population[leader] = pop;
+  }
+  return ref;
+}
+
+/// UpperIndex against the depth-sorted reference, leader by leader: radii
+/// bit for bit, member sets, populations, and the covering property.
+void ExpectUpperMatchesReference(const QueryFixture& fx,
+                                 const Backbone& backbone) {
+  const UpperIndex upper(backbone, *fx.index, fx.ds.features, *fx.ds.metric);
+  const DepthSortedUpper ref = BuildDepthSortedUpper(
+      backbone, *fx.index, fx.ds.features, *fx.ds.metric);
+  for (int leader : backbone.leaders()) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(upper.radius(leader)),
+              std::bit_cast<uint64_t>(ref.radius.at(leader)))
+        << "leader " << leader;
+    const std::span<const int> span = upper.members(leader);
+    std::vector<int> members(span.begin(), span.end());
+    std::sort(members.begin(), members.end());
+    EXPECT_EQ(members, ref.members.at(leader)) << "leader " << leader;
+    EXPECT_EQ(static_cast<long long>(span.size()), ref.population.at(leader))
+        << "leader " << leader;
+    for (int m : span) {
+      EXPECT_LE(fx.ds.metric->Distance(fx.ds.features[leader],
+                                       fx.ds.features[m]),
+                upper.radius(leader) + 1e-12)
+          << "leader " << leader << " member " << m;
+    }
+  }
+  // The backbone root's subtree is the whole network.
+  EXPECT_EQ(upper.members(backbone.tree_root()).size(),
+            fx.ds.features.size());
+}
+
+SensorDataset TerrainOf(int n) {
+  TerrainConfig cfg;
+  cfg.num_nodes = n;
+  cfg.radio_range_fraction = 0.1;
+  return std::move(MakeTerrainDataset(cfg)).value();
+}
+
+TEST(UpperIndexTest, MatchesDepthSortedAggregationOnTerrains) {
+  for (int n : {60, 120, 400}) {
+    SCOPED_TRACE(testing::Message() << n << "-node terrain");
+    const QueryFixture fx = QueryFixture::Make(TerrainOf(n), 0.2);
+    ExpectUpperMatchesReference(fx, *fx.backbone);
+  }
+}
+
+TEST(UpperIndexTest, MatchesDepthSortedAggregationOnSynthetic4k) {
+  SyntheticConfig cfg;
+  cfg.num_nodes = 4000;
+  const QueryFixture fx =
+      QueryFixture::Make(std::move(MakeSyntheticDataset(cfg)).value(), 0.2);
+  ExpectUpperMatchesReference(fx, *fx.backbone);
+}
+
+TEST(UpperIndexTest, MatchesDepthSortedAggregationOnBfsBackbone) {
+  const QueryFixture fx = QueryFixture::Make(TerrainOf(400), 0.2);
+  // Built without features: a hop-oriented BFS tree over the cluster graph.
+  const Backbone bfs_tree =
+      Backbone::Build(fx.clustering, fx.ds.topology.adjacency);
+  ExpectUpperMatchesReference(fx, bfs_tree);
 }
 
 // -- Range queries ---------------------------------------------------------------

@@ -45,8 +45,11 @@ struct ProtocolFixture {
 
   DistributedRangeQuery MakeProtocol(bool synchronous = true,
                                      uint64_t seed = 1) const {
+    DistributedRangeQuery::ProtocolOptions options;
+    options.synchronous = synchronous;
+    options.seed = seed;
     return DistributedRangeQuery(ds.topology, clustering, *index, *backbone,
-                                 ds.features, ds.metric, synchronous, seed);
+                                 ds.features, ds.metric, options);
   }
   RangeQueryEngine MakeEngine() const {
     return RangeQueryEngine(clustering, *index, *backbone, ds.features,
@@ -189,6 +192,11 @@ TEST(QueryProtocolTest, RejectsBadArguments) {
   DistributedRangeQuery protocol = fx.MakeProtocol();
   EXPECT_FALSE(protocol.Run(-1, fx.ds.features[0], 1.0).ok());
   EXPECT_FALSE(protocol.Run(0, fx.ds.features[0], -1.0).ok());
+  // A query feature of the wrong dimension is refused, not measured.
+  const Result<DistributedQueryOutcome> wrong_dim =
+      protocol.Run(0, Feature{1.0, 2.0}, 1.0);
+  ASSERT_FALSE(wrong_dim.ok());
+  EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
