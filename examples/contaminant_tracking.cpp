@@ -66,7 +66,13 @@ int main() {
       net.UpdateFeature(i, {ds.streams[i][step]});
     }
     if (step % 8 == 3) {
-      const PathQueryResult route = net.SafePath(src, dst, danger, gamma);
+      const Result<PathQueryResult> route_r =
+          net.SafePath(src, dst, danger, gamma);
+      if (!route_r.ok()) {
+        std::fprintf(stderr, "%s\n", route_r.status().ToString().c_str());
+        return 1;
+      }
+      const PathQueryResult& route = route_r.value();
       std::printf("%6d %10d %10s %10zu %12llu\n", step, net.num_clusters(),
                   route.found ? "yes" : "NO",
                   route.found ? route.path.size() - 1 : 0,

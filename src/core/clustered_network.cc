@@ -1,6 +1,36 @@
 #include "core/clustered_network.h"
 
+#include <initializer_list>
+#include <vector>
+
+#include "common/strings.h"
+
 namespace elink {
+namespace {
+
+// The query arguments the protocols refuse: a node outside the deployment,
+// a negative radius (or gamma), a query feature whose dimension is not the
+// deployment's.
+Status CheckQueryArgs(const std::vector<Feature>& features,
+                      std::initializer_list<int> nodes, const Feature& query,
+                      double radius) {
+  const int n = static_cast<int>(features.size());
+  for (int node : nodes) {
+    if (node < 0 || node >= n) {
+      return Status::InvalidArgument(
+          StringPrintf("query node %d out of range [0, %d)", node, n));
+    }
+  }
+  if (radius < 0) {
+    return Status::InvalidArgument("query radius must be non-negative");
+  }
+  if (query.size() != features[*nodes.begin()].size()) {
+    return Status::InvalidArgument("query feature has the wrong dimension");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 ClusteredSensorNetwork::ClusteredSensorNetwork(
     Topology topology, std::shared_ptr<const DistanceMetric> metric,
@@ -118,18 +148,29 @@ const std::vector<int>& ClusteredSensorNetwork::cluster_tree_parent() {
   return tree_parent_;
 }
 
-RangeQueryResult ClusteredSensorNetwork::RangeQuery(int initiator,
-                                                    const Feature& q,
-                                                    double r) {
+Result<RangeQueryResult> ClusteredSensorNetwork::RangeQuery(int initiator,
+                                                            const Feature& q,
+                                                            double r) {
+  if (Status s = CheckQueryArgs(maintenance_->current_features(), {initiator},
+                                q, r);
+      !s.ok()) {
+    return s;
+  }
   EnsureIndex();
   RangeQueryResult result = range_engine_->Query(initiator, q, r);
   stats_.Merge(result.stats);
   return result;
 }
 
-PathQueryResult ClusteredSensorNetwork::SafePath(int source, int destination,
-                                                 const Feature& danger,
-                                                 double gamma) {
+Result<PathQueryResult> ClusteredSensorNetwork::SafePath(int source,
+                                                         int destination,
+                                                         const Feature& danger,
+                                                         double gamma) {
+  if (Status s = CheckQueryArgs(maintenance_->current_features(),
+                                {source, destination}, danger, gamma);
+      !s.ok()) {
+    return s;
+  }
   EnsureIndex();
   PathQueryResult result =
       path_engine_->Query(source, destination, danger, gamma);

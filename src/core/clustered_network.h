@@ -5,10 +5,14 @@
 //
 //   ClusteredSensorNetwork::Options opts;
 //   opts.delta = 0.4;
-//   auto net = ClusteredSensorNetwork::Build(dataset, opts);
+//   auto net = ClusteredSensorNetwork::Build(dataset, opts).value();
 //   net->UpdateFeature(node, new_coefficients);   // Section 6 maintenance.
-//   auto hits = net->RangeQuery(initiator, q, r); // Section 7.2.
-//   auto path = net->SafePath(src, dst, danger, gamma);  // Section 7.3.
+//   Result<RangeQueryResult> hits = net->RangeQuery(initiator, q, r);  // 7.2
+//   Result<PathQueryResult> path = net->SafePath(src, dst, danger, gamma);
+//
+// Both queries (Section 7.3 for the path) come back InvalidArgument for a
+// node id outside the deployment, a negative r or gamma, or a query feature
+// of the wrong dimension.
 //
 // The facade re-derives the index and backbone lazily after membership
 // changes, and aggregates all communication into one ledger, broken down by
@@ -109,12 +113,17 @@ class ClusteredSensorNetwork {
   // -- Queries (Section 7) ----------------------------------------------------
 
   /// All nodes whose current features are within `r` of `q`.
-  RangeQueryResult RangeQuery(int initiator, const Feature& q, double r);
+  /// InvalidArgument for an initiator outside the deployment, a negative
+  /// `r` or a `q` of the wrong dimension, as RangeQueryDistributed.
+  Result<RangeQueryResult> RangeQuery(int initiator, const Feature& q,
+                                      double r);
 
   /// A path from `source` to `destination` on which every node's feature is
-  /// at least `gamma` from `danger`, if one exists.
-  PathQueryResult SafePath(int source, int destination, const Feature& danger,
-                           double gamma);
+  /// at least `gamma` from `danger`, if one exists.  InvalidArgument for an
+  /// endpoint outside the deployment, a negative `gamma` or a `danger` of
+  /// the wrong dimension, as SafePathDistributed.
+  Result<PathQueryResult> SafePath(int source, int destination,
+                                   const Feature& danger, double gamma);
 
   // -- Distributed query execution (proto runtime) ----------------------------
   //

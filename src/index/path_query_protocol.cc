@@ -244,6 +244,7 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
         StringPrintf("path query endpoints (%d, %d) out of range [0, %d)",
                      source, destination, n));
   }
+  if (gamma < 0) return Status::InvalidArgument("gamma must be non-negative");
   if (danger.size() != features_[source].size()) {
     return Status::InvalidArgument("danger feature has the wrong dimension");
   }

@@ -1,6 +1,8 @@
 #include "sim/graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
 
 namespace elink {
@@ -113,22 +115,108 @@ std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst) {
   return path;
 }
 
+namespace {
+
+// A new route's table: 64 (node, parent) pairs, kept at most half full.
+constexpr size_t kInitialSparsePairs = 64;
+
+// A route turns dense once its ball holds more than N / 64 nodes (and more
+// than its first table holds).  The hash probe sits in the BFS's inner
+// loop, so the switch must come early for routes that grow large: against
+// N / 64, promoting at N / 4 made churn_2500's run ~50% slower (its ~2,100
+// routes per session average 218 nodes) and each pipeline_4k query ~13%
+// slower.  Most routes never get there: pipeline_4k's ELink routes average
+// 20 nodes, so they stay in tables of 64 pairs.
+constexpr size_t kDenseBallDivisor = 64;
+
+// Fibonacci hashing: the high bits of node * 2^32 / phi index the table.
+size_t FibonacciSlot(int node, int shift) {
+  return (static_cast<uint32_t>(node) * 2654435769u) >> shift;
+}
+
+}  // namespace
+
 ResumableBfs::ResumableBfs(int num_nodes, int root)
-    : root_(root), parent_(num_nodes, -1), frontier_{root} {
-  parent_[root] = root;
+    : num_nodes_(num_nodes),
+      root_(root),
+      sparse_(2 * kInitialSparsePairs, -1),
+      sparse_shift_(32 - std::countr_zero(kInitialSparsePairs)),
+      frontier_{root} {
+  const size_t s = SparseSlot(root);
+  sparse_[s] = root;
+  sparse_[s + 1] = root;
+}
+
+size_t ResumableBfs::SparseSlot(int node) const {
+  const size_t mask = sparse_.size() / 2 - 1;
+  size_t i = FibonacciSlot(node, sparse_shift_);
+  while (sparse_[2 * i] >= 0 && sparse_[2 * i] != node) i = (i + 1) & mask;
+  return 2 * i;
+}
+
+int ResumableBfs::SparseParent(int node) const {
+  // An empty pair is (-1, -1), so a miss reads -1 as well.
+  return sparse_[SparseSlot(node) + 1];
+}
+
+void ResumableBfs::GrowSparse() {
+  std::vector<int> old(2 * sparse_.size(), -1);
+  old.swap(sparse_);
+  --sparse_shift_;
+  for (size_t s = 0; s < old.size(); s += 2) {
+    if (old[s] < 0) continue;
+    const size_t t = SparseSlot(old[s]);
+    sparse_[t] = old[s];
+    sparse_[t + 1] = old[s + 1];
+  }
+}
+
+void ResumableBfs::Promote() {
+  // Promotion happens mid-expansion, so the frontier still lists every
+  // discovered node.
+  std::vector<int> dense(num_nodes_, -1);
+  for (int v : frontier_) dense[v] = SparseParent(v);
+  parent_.swap(dense);
+  std::vector<int>().swap(sparse_);
 }
 
 bool ResumableBfs::Expand(const AdjacencyList& adj,
                           const std::vector<char>& absent, int target) {
   const bool masked = !absent.empty();
-  while (parent_[target] < 0 && head_ < frontier_.size()) {
-    const int u = frontier_[head_++];
-    // Only the root can be an absent node on the frontier.
-    if (masked && absent[u]) continue;
-    for (int v : adj[u]) {
-      if (parent_[v] < 0 && !(masked && absent[v])) {
-        parent_[v] = u;
+  if (!dense()) {
+    const size_t dense_above =
+        std::max(kInitialSparsePairs / 2,
+                 static_cast<size_t>(num_nodes_) / kDenseBallDivisor);
+    bool found = SparseParent(target) >= 0;
+    while (!found && head_ < frontier_.size()) {
+      const int u = frontier_[head_++];
+      // Only the root can be an absent node on the frontier.
+      if (masked && absent[u]) continue;
+      for (int v : adj[u]) {
+        if (masked && absent[v]) continue;
+        const size_t s = SparseSlot(v);
+        if (sparse_[s] >= 0) continue;
+        sparse_[s] = v;
+        sparse_[s + 1] = u;
         frontier_.push_back(v);
+        found |= v == target;
+        if (4 * frontier_.size() > sparse_.size()) GrowSparse();
+      }
+      if (frontier_.size() > dense_above) {
+        Promote();
+        break;
+      }
+    }
+  }
+  if (dense()) {
+    while (parent_[target] < 0 && head_ < frontier_.size()) {
+      const int u = frontier_[head_++];
+      if (masked && absent[u]) continue;
+      for (int v : adj[u]) {
+        if (parent_[v] < 0 && !(masked && absent[v])) {
+          parent_[v] = u;
+          frontier_.push_back(v);
+        }
       }
     }
   }
@@ -136,13 +224,13 @@ bool ResumableBfs::Expand(const AdjacencyList& adj,
     std::vector<int>().swap(frontier_);
     head_ = 0;
   }
-  return parent_[target] >= 0;
+  return parent(target) >= 0;
 }
 
 int ResumableBfs::HopsToRoot(int node) const {
-  if (parent_[node] < 0) return -1;
+  if (parent(node) < 0) return -1;
   int hops = 0;
-  for (int cur = node; cur != root_; cur = parent_[cur]) ++hops;
+  for (int cur = node; cur != root_; cur = parent(cur)) ++hops;
   return hops;
 }
 

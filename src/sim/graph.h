@@ -50,6 +50,11 @@ std::vector<int> ShortestHopPath(const AdjacencyList& adj, int src, int dst);
 /// is non-empty) are neither discovered nor relayed through, as if they and
 /// their edges were removed from `adj`.  Every call on one object must pass
 /// the same adjacency and mask; rebuild the BFS when either changes.
+///
+/// Its memory grows with the ball it has discovered, not with the graph:
+/// parents sit in a small open-addressing table until the ball outgrows it
+/// and a fixed share of the nodes, and only then move, once, to an array
+/// over all nodes.  Both forms hold the same parents.
 class ResumableBfs {
  public:
   ResumableBfs(int num_nodes, int root);
@@ -61,16 +66,39 @@ class ResumableBfs {
 
   /// BFS-tree parent of a discovered node (the root's parent is itself);
   /// -1 while undiscovered.
-  int parent(int node) const { return parent_[node]; }
+  int parent(int node) const {
+    return dense() ? parent_[node] : SparseParent(node);
+  }
 
   /// Hop count from a discovered `node` to the root (the length of its
   /// parent walk); -1 while undiscovered.
   int HopsToRoot(int node) const;
 
+  /// True once the parents live in the array over all nodes.
+  bool dense() const { return !parent_.empty(); }
+
  private:
+  int SparseParent(int node) const;
+  /// The pair of `sparse_` that holds `node`, or the empty pair where it
+  /// would go.
+  size_t SparseSlot(int node) const;
+  /// Rehashes the table into twice as many pairs.
+  void GrowSparse();
+  /// Moves every parent into `parent_` and releases the table; only while
+  /// the frontier still lists every discovered node.
+  void Promote();
+
+  int num_nodes_;
   int root_;
+  // Dense form: parent per node, -1 while undiscovered; empty while sparse.
   std::vector<int> parent_;
-  // FIFO of discovered nodes; [head_, size) are still to be scanned.
+  // Sparse form: (node, parent) pairs interleaved, a power-of-two number of
+  // pairs, node -1 marking an empty pair; linear probing from a Fibonacci
+  // hash of the node id.  Empty once dense.
+  std::vector<int> sparse_;
+  int sparse_shift_ = 0;
+  // FIFO of discovered nodes; [head_, size) are still to be scanned.  Until
+  // it is released, its size is the number of discovered nodes.
   std::vector<int> frontier_;
   size_t head_ = 0;
 };

@@ -51,7 +51,7 @@ TEST(ClusteredNetworkTest, RangeQueriesMatchScan) {
     const Feature q = {rng.Uniform(175.0, 1996.0)};
     const double r = rng.Uniform(0.2, 1.0) * net.delta();
     const RangeQueryResult res =
-        net.RangeQuery(static_cast<int>(rng.UniformInt(200)), q, r);
+        net.RangeQuery(static_cast<int>(rng.UniformInt(200)), q, r).value();
     std::vector<int> expected;
     for (int i = 0; i < 200; ++i) {
       if (ds.metric->Distance(ds.features[i], q) <= r + 1e-12) {
@@ -78,7 +78,8 @@ TEST(ClusteredNetworkTest, UpdatesKeepInvariantAndQueriesFollow) {
   EXPECT_TRUE(net.ValidateInvariant().ok());
   // Queries now answer against the *updated* features.
   const Feature q = current[42];
-  const RangeQueryResult res = net.RangeQuery(0, q, 0.5 * net.delta());
+  const RangeQueryResult res =
+      net.RangeQuery(0, q, 0.5 * net.delta()).value();
   std::vector<int> expected;
   for (int i = 0; i < 200; ++i) {
     if (ds.metric->Distance(current[i], q) <= 0.5 * net.delta() + 1e-12) {
@@ -102,7 +103,8 @@ TEST(ClusteredNetworkTest, SafePathAgreesWithSafety) {
     const int dst = static_cast<int>(rng.UniformInt(200));
     const Feature danger = {rng.Uniform(175.0, 1996.0)};
     const double gamma = rng.Uniform(0.05, 0.3) * FeatureDiameter(ds);
-    const PathQueryResult res = net.SafePath(src, dst, danger, gamma);
+    const PathQueryResult res =
+        net.SafePath(src, dst, danger, gamma).value();
     if (res.found) {
       EXPECT_EQ(res.path.front(), src);
       EXPECT_EQ(res.path.back(), dst);
@@ -124,7 +126,7 @@ TEST(ClusteredNetworkTest, DistributedQueriesMatchEngines) {
     const Feature q = {rng.Uniform(175.0, 1996.0)};
     const double r = rng.Uniform(0.2, 1.0) * net.delta();
     const int initiator = static_cast<int>(rng.UniformInt(200));
-    const RangeQueryResult engine = net.RangeQuery(initiator, q, r);
+    const RangeQueryResult engine = net.RangeQuery(initiator, q, r).value();
     auto dist = net.RangeQueryDistributed(initiator, q, r);
     ASSERT_TRUE(dist.ok()) << dist.status().ToString();
     EXPECT_EQ(dist.value().match_count,
@@ -135,7 +137,8 @@ TEST(ClusteredNetworkTest, DistributedQueriesMatchEngines) {
     const int dst = static_cast<int>(rng.UniformInt(200));
     const Feature danger = {rng.Uniform(175.0, 1996.0)};
     const double gamma = rng.Uniform(0.05, 0.3) * FeatureDiameter(ds);
-    const PathQueryResult engine = net.SafePath(src, dst, danger, gamma);
+    const PathQueryResult engine =
+        net.SafePath(src, dst, danger, gamma).value();
     auto dist = net.SafePathDistributed(src, dst, danger, gamma);
     ASSERT_TRUE(dist.ok()) << dist.status().ToString();
     EXPECT_EQ(dist.value().found, engine.found);
@@ -150,7 +153,7 @@ TEST(ClusteredNetworkTest, LedgerAccumulatesAcrossPhases) {
   auto& net = *net_r.value();
   const uint64_t after_build = net.total_stats().total_units();
   EXPECT_GE(after_build, net.clustering_cost_units());
-  net.RangeQuery(0, ds.features[0], 0.5 * net.delta());
+  ASSERT_TRUE(net.RangeQuery(0, ds.features[0], 0.5 * net.delta()).ok());
   EXPECT_GT(net.total_stats().total_units(), after_build);
 }
 
@@ -169,6 +172,32 @@ TEST(ClusteredNetworkTest, ExplicitAsynchronousBuild) {
                                       ds.topology.adjacency, ds.features,
                                       *ds.metric, opts.delta)
                   .ok());
+}
+
+TEST(ClusteredNetworkTest, EngineQueriesRejectWhatTheProtocolsReject) {
+  const SensorDataset ds = TerrainDs();
+  auto net_r = ClusteredSensorNetwork::Build(ds, DefaultOptions(ds));
+  ASSERT_TRUE(net_r.ok());
+  auto& net = *net_r.value();
+  const Feature q = ds.features[0];
+  const Feature wrong_dim = {1.0, 2.0};
+  const uint64_t units = net.total_stats().total_units();
+  for (const Status& s :
+       {net.RangeQuery(0, wrong_dim, 1.0).status(),
+        net.RangeQuery(-1, q, 1.0).status(),
+        net.RangeQuery(200, q, 1.0).status(),
+        net.RangeQuery(0, q, -1.0).status(),
+        net.SafePath(0, 1, wrong_dim, 1.0).status(),
+        net.SafePath(-1, 1, q, 1.0).status(),
+        net.SafePath(0, 200, q, 1.0).status(),
+        net.SafePath(0, 1, q, -1.0).status()}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+  // A refused query sends nothing.
+  EXPECT_EQ(net.total_stats().total_units(), units);
+  // The distributed runs refuse the same arguments.
+  EXPECT_FALSE(net.RangeQueryDistributed(0, wrong_dim, 1.0).ok());
+  EXPECT_FALSE(net.SafePathDistributed(0, 1, q, -1.0).ok());
 }
 
 TEST(ClusteredNetworkTest, RejectsDatasetWithoutMetric) {

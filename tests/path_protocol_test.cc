@@ -204,6 +204,7 @@ TEST(PathProtocolTest, RejectsBadEndpoints) {
   DistributedPathQuery protocol = fx.MakeProtocol();
   EXPECT_FALSE(protocol.Run(-1, 0, fx.ds.features[0], 1.0).ok());
   EXPECT_FALSE(protocol.Run(0, 9999, fx.ds.features[0], 1.0).ok());
+  EXPECT_FALSE(protocol.Run(0, 1, fx.ds.features[0], -1.0).ok());
   // A danger feature of the wrong dimension is refused, not measured.
   const Result<PathQueryResult> wrong_dim =
       protocol.Run(0, 1, Feature{1.0, 2.0}, 1.0);

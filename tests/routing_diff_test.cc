@@ -49,30 +49,69 @@ AdjacencyList WithoutAbsent(const AdjacencyList& adj,
   return out;
 }
 
+// What one ResumableBfs run went through.
+struct ResumableRun {
+  // Targets answered while the parents were still in the sparse table.
+  int sparse_steps = 0;
+  bool dense_at_end = false;
+};
+
+// Asks one ResumableBfs for the targets in `order` and checks, after every
+// step, each answer and every discovered node's parent against the full BFS.
 void ExpectResumableMatchesFullBfs(const AdjacencyList& adj,
                                    const std::vector<char>& absent, int root,
-                                   Rng* rng) {
+                                   const std::vector<int>& order,
+                                   ResumableRun* run) {
   const int n = static_cast<int>(adj.size());
   const AdjacencyList ref_adj =
       absent.empty() ? adj : WithoutAbsent(adj, absent);
   const std::vector<int> parent = BfsTreeParents(ref_adj, root);
   const std::vector<int> dist = HopDistancesFrom(ref_adj, root);
   ResumableBfs bfs(n, root);
-  std::vector<int> order(n);
-  for (int i = 0; i < n; ++i) order[i] = i;
-  for (int i = n - 1; i > 0; --i) {
-    std::swap(order[i], order[rng->UniformInt(i + 1)]);
-  }
   for (int target : order) {
     EXPECT_EQ(bfs.Expand(adj, absent, target), dist[target] >= 0);
     EXPECT_EQ(bfs.HopsToRoot(target), dist[target]) << "target " << target;
     // Every node discovered so far already has its final parent.
     for (int v = 0; v < n; ++v) {
       if (bfs.parent(v) >= 0) {
-        ASSERT_EQ(bfs.parent(v), parent[v]);
+        ASSERT_EQ(bfs.parent(v), parent[v]) << "node " << v;
       }
     }
+    if (!bfs.dense()) ++run->sparse_steps;
   }
+  run->dense_at_end = bfs.dense();
+}
+
+std::vector<int> ShuffledOrder(int n, Rng* rng) {
+  std::vector<int> order(n);
+  for (int i = 0; i < n; ++i) order[i] = i;
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(order[i], order[rng->UniformInt(i + 1)]);
+  }
+  return order;
+}
+
+// Every node by increasing hop distance `dist` (ties by id), unreachable
+// nodes last: each step discovers only one more layer, so the ball grows as
+// slowly as it can.
+std::vector<int> NearestFirstOrder(const std::vector<int>& dist) {
+  std::vector<int> order(dist.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  const auto key = [&dist](int v) {
+    return dist[v] < 0 ? static_cast<int>(dist.size()) : dist[v];
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&key](int a, int b) { return key(a) < key(b); });
+  return order;
+}
+
+void ExpectResumableMatchesFullBfs(const AdjacencyList& adj,
+                                   const std::vector<char>& absent, int root,
+                                   Rng* rng) {
+  ResumableRun run;
+  ExpectResumableMatchesFullBfs(
+      adj, absent, root, ShuffledOrder(static_cast<int>(adj.size()), rng),
+      &run);
 }
 
 TEST(ResumableBfsTest, MatchesFullBfsInAnyQueryOrder) {
@@ -102,6 +141,46 @@ TEST(ResumableBfsTest, AbsentNodesAreNeitherDiscoveredNorRelays) {
   ResumableBfs bfs(200, 17);
   EXPECT_FALSE(bfs.Expand(t.adjacency, absent, 18));
   EXPECT_EQ(bfs.HopsToRoot(17), 0);
+}
+
+// Nearest targets first keep a route in its sparse table for many steps
+// before its ball passes the switch point (more than max(32, n / 64)
+// nodes); every parent found before the switch must survive the move to
+// the dense array, and the ones found after it must agree as well.
+TEST(ResumableBfsTest, NearestFirstOrderCrossesTheSwitchPoint) {
+  Rng rng(13);
+  int crossed = 0;
+  for (int n : {12, 60, 300, 4000}) {
+    const Topology t = RandomDisk(n, 200 + n);
+    for (bool masked : {false, true}) {
+      std::vector<char> absent;
+      if (masked) {
+        absent.assign(n, 0);
+        for (int k = 0; k < n / 10 + 1; ++k) absent[rng.UniformInt(n)] = 1;
+      }
+      const AdjacencyList ref_adj =
+          masked ? WithoutAbsent(t.adjacency, absent) : t.adjacency;
+      for (int root : {0, n / 2, n - 1}) {
+        const std::vector<int> dist = HopDistancesFrom(ref_adj, root);
+        const int reachable = static_cast<int>(
+            std::count_if(dist.begin(), dist.end(),
+                          [](int d) { return d >= 0; }));
+        SCOPED_TRACE(testing::Message() << "n " << n << " root " << root
+                                        << " masked " << masked);
+        ResumableRun run;
+        ExpectResumableMatchesFullBfs(t.adjacency, absent, root,
+                                      NearestFirstOrder(dist), &run);
+        if (reachable > 1) {
+          EXPECT_GT(run.sparse_steps, 1);
+        }
+        EXPECT_EQ(run.dense_at_end, reachable > std::max(32, n / 64));
+        crossed += run.dense_at_end;
+      }
+    }
+  }
+  // Both forms ran: the 12-node routes stayed sparse, the larger ones
+  // crossed.
+  EXPECT_GE(crossed, 9);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,18 +300,54 @@ std::vector<std::pair<int, int>> RandomPairs(int n, int count, Rng* rng) {
   return pairs;
 }
 
+// Pairs 2-4 hops apart on `adj`, the nearest sources of each destination
+// first and several per destination, so each route's ball stays small for
+// many sends: these run routes in the sparse form (and across the switch
+// point), which random pairs mostly skip by asking a far source first.
+std::vector<std::pair<int, int>> NearPairs(const AdjacencyList& adj, int count,
+                                           Rng* rng) {
+  const int n = static_cast<int>(adj.size());
+  std::vector<std::pair<int, int>> pairs;
+  for (int attempt = 0;
+       attempt < 4 * count && static_cast<int>(pairs.size()) < count;
+       ++attempt) {
+    const int to = static_cast<int>(rng->UniformInt(n));
+    const std::vector<int> dist = HopDistancesFrom(adj, to);
+    std::vector<std::pair<int, int>> near;  // (hops, source)
+    for (int v = 0; v < n; ++v) {
+      if (dist[v] >= 2 && dist[v] <= 4) near.emplace_back(dist[v], v);
+    }
+    if (near.empty()) continue;
+    std::vector<std::pair<int, int>> picked;
+    for (int k = 0; k < 4; ++k) {
+      picked.push_back(near[rng->UniformInt(near.size())]);
+    }
+    std::sort(picked.begin(), picked.end());
+    for (const auto& [hops, from] : picked) pairs.emplace_back(from, to);
+  }
+  EXPECT_GE(static_cast<int>(pairs.size()), count);
+  return pairs;
+}
+
 TEST(RoutingDiffTest, ChurnFreeMatchesRoutingTableHopByHop) {
   Rng rng(21);
+  Rng near_rng(22);
   std::vector<Topology> topologies;
   for (int n : {20, 90, 400, 2500}) topologies.push_back(RandomDisk(n, n));
   topologies.push_back(MakeGridTopology(7, 11));
   topologies.push_back(MakeGridTopology(30, 30));
   for (Topology& t : topologies) {
     const int n = t.num_nodes();
+    const std::vector<std::pair<int, int>> near =
+        NearPairs(t.adjacency, 80, &near_rng);
     auto net = MakeSinkNetwork(std::move(t), {}, /*synchronous=*/false, n);
     HopRecorder rec;
     net->set_observer(&rec);
     RoutedCounts counts;
+    for (const auto& [from, to] : near) {
+      CheckRoutedSend(net.get(), &rec, from, to, near_rng.Bernoulli(0.5),
+                      &counts);
+    }
     for (const auto& [from, to] : RandomPairs(n, 160, &rng)) {
       CheckRoutedSend(net.get(), &rec, from, to, rng.Bernoulli(0.5), &counts);
     }
@@ -282,19 +397,36 @@ void RunChurnDifferential(Topology t, const ChurnPlan& churn,
                           bool synchronous, int sends, uint64_t seed,
                           RoutedCounts* counts) {
   const int n = t.num_nodes();
+  // Near pairs go out in bursts at one instant each, so a destination's
+  // sources share one churn epoch and its route grows step by step.
+  Rng near_rng(seed + 1000);
+  const std::vector<std::pair<int, int>> near =
+      NearPairs(t.adjacency, sends / 4, &near_rng);
   auto net = MakeSinkNetwork(std::move(t), churn, synchronous, seed);
   HopRecorder rec;
   net->set_observer(&rec);
+  Network* raw = net.get();
   Rng rng(seed);
   for (const auto& [from, to] : RandomPairs(n, sends, &rng)) {
     const double at = rng.Bernoulli(0.5)
                           ? static_cast<double>(rng.UniformInt(64))
                           : rng.Uniform(0.0, 64.0);
     const bool distance_first = rng.Bernoulli(0.5);
-    Network* raw = net.get();
     net->ScheduleAfter(at, [raw, &rec, from = from, to = to, distance_first,
                             counts]() {
       CheckRoutedSend(raw, &rec, from, to, distance_first, counts);
+    });
+  }
+  for (size_t i = 0; i < near.size(); i += 4) {
+    const double at = near_rng.Bernoulli(0.5)
+                          ? static_cast<double>(near_rng.UniformInt(64))
+                          : near_rng.Uniform(0.0, 64.0);
+    const size_t end = std::min(near.size(), i + 4);
+    net->ScheduleAfter(at, [raw, &rec, &near, i, end, counts]() {
+      for (size_t k = i; k < end; ++k) {
+        CheckRoutedSend(raw, &rec, near[k].first, near[k].second,
+                        /*distance_first=*/k % 2 == 0, counts);
+      }
     });
   }
   net->Run();
