@@ -297,7 +297,7 @@ void RunElinkTrial(const Scenario& s, CheckOutcome* out,
 // Every served answer — cache hit or miss — must (a) byte-equal a fresh
 // recomputation on the published view, (b) equal the exact linear-scan/BFS
 // oracles over the view's live state, and (c) when it came from the cache,
-// carry the epoch vector of the *current* view (a stale hit is the
+// have been computed on the *current* view's version (a stale hit is the
 // coherence failure mode this pass exists to catch).  Purely observational:
 // the pass draws from its own stream and never injects protocol activity,
 // so enabling/disabling it cannot reshuffle the maintenance trial.
@@ -339,12 +339,14 @@ void CheckServedBatch(const Scenario& s, serve::MaintenanceServeDriver* driver,
                            where().c_str(), served.answer.matches.size(),
                            oracle.size()));
         }
-        if (served.from_cache &&
-            (served.epochs != view->epochs() ||
-             served.epoch_signature != view->epoch_signature())) {
+        if (served.from_cache && served.answer_version != view->version()) {
           Add(out, "serve_stale_hit",
-              StringPrintf("%s: cache hit carries a non-current epoch vector",
-                           where().c_str()));
+              StringPrintf("%s: cache hit computed on view %llu, served on "
+                           "view %llu",
+                           where().c_str(),
+                           static_cast<unsigned long long>(
+                               served.answer_version),
+                           static_cast<unsigned long long>(view->version())));
         }
       } else {
         const serve::ServedPath served = driver->frontend().SafePath(
@@ -394,12 +396,14 @@ void CheckServedBatch(const Scenario& s, serve::MaintenanceServeDriver* driver,
                              where().c_str()));
           }
         }
-        if (served.from_cache &&
-            (served.epochs != view->epochs() ||
-             served.epoch_signature != view->epoch_signature())) {
+        if (served.from_cache && served.answer_version != view->version()) {
           Add(out, "serve_stale_hit",
-              StringPrintf("%s: cache hit carries a non-current epoch vector",
-                           where().c_str()));
+              StringPrintf("%s: cache hit computed on view %llu, served on "
+                           "view %llu",
+                           where().c_str(),
+                           static_cast<unsigned long long>(
+                               served.answer_version),
+                           static_cast<unsigned long long>(view->version())));
         }
       }
     }

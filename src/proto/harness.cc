@@ -8,8 +8,8 @@ void RunHarness::InstallNodes(const NodeFactory& factory) {
     std::unique_ptr<ProtocolNode> node = factory(id);
     ELINK_CHECK(node != nullptr);
     // Bind before install: OnInstall (channel attach, OnReady) may already
-    // need the runtime hooks in place.
-    node->BindRuntime(&activity_, &trace_);
+    // count activity.
+    node->BindRuntime(&activity_);
     net_.InstallNode(id, std::move(node));
   }
 }

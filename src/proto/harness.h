@@ -3,14 +3,16 @@
 // RunHarness owns the Network and centralizes the run-loop machinery each
 // protocol driver used to duplicate:
 //
-//  * node installation with runtime binding (activity counter, trace hook);
+//  * node installation with runtime binding (the activity counter);
 //  * quiet-period completion detection — the watchdog that re-arms every
 //    `quiet_timeout` and declares the run timed out when a full window
 //    passes with no handler invocations (ELink's completion watchdog,
 //    verbatim);
 //  * an optional run horizon — a no-op event at `run_horizon` that keeps the
-//    clock honest when the protocol dies en route (the query deadline);
-//  * a per-message trace callback observing every delivered frame.
+//    clock honest when the protocol dies en route (the query deadline).
+//
+// Delivered frames, timers and watchdog events are observed through one
+// SimObserver (set_observer).
 //
 // Scheduling order is part of the determinism contract: the caller performs
 // all protocol setup (timers, injected messages) on net() first; Run() then
@@ -59,17 +61,13 @@ class RunHarness {
 
   using NodeFactory = std::function<std::unique_ptr<ProtocolNode>(int)>;
 
-  /// Installs factory(id) for every node, binding the harness runtime
-  /// (activity counter + trace hook) before each node's install runs.
+  /// Installs factory(id) for every node, binding the harness's activity
+  /// counter before each node's install runs.
   void InstallNodes(const NodeFactory& factory);
 
   /// Completion predicate consulted by the watchdog: when it returns true
   /// the watchdog stands down without declaring a timeout.
   void set_done(std::function<bool()> done) { done_ = std::move(done); }
-
-  /// Observer for every frame delivered to any node (including transport
-  /// acks and duplicates).  Set before Run().
-  void set_trace(TraceFn trace) { trace_ = std::move(trace); }
 
   /// Installs a SimObserver (telemetry/tracer) on the run: the network
   /// reports sends/delivers/drops/timers to it, the harness adds watchdog
@@ -78,9 +76,6 @@ class RunHarness {
     observer_ = observer;
     net_.set_observer(observer);
   }
-
-  /// Total handler invocations (messages + timers) across all nodes.
-  uint64_t activity() const { return activity_; }
 
   /// Arms the watchdog and horizon, then drains the event queue, dispatching
   /// at most `max_events` events.  May be called repeatedly (incremental
@@ -93,7 +88,6 @@ class RunHarness {
   Options options_;
   Network net_;
   SimObserver* observer_ = nullptr;
-  TraceFn trace_;
   std::function<bool()> done_;
   uint64_t activity_ = 0;
   uint64_t watchdog_last_seen_ = 0;

@@ -16,7 +16,6 @@ void ProtocolNode::HandleMessage(int from, const Message& msg) {
   // transport acks and duplicates — matching the quiet-period semantics the
   // protocols' hand-written watchdogs used.
   if (activity_ != nullptr) ++*activity_;
-  if (trace_ != nullptr && *trace_) (*trace_)(network()->Now(), from, id(), msg);
   if (channel_.attached() && channel_.OnMessage(from, msg)) return;
   DispatchMessage(from, msg);
 }

@@ -12,8 +12,8 @@
 //    incoming message and timer, exactly as the hand-written protocols did;
 //  * send helpers — Send / SendRouted encode a schema and transparently pick
 //    the reliable channel when one is enabled, the raw network otherwise;
-//  * harness hooks — RunHarness binds an activity counter (for quiet-period
-//    completion detection) and a per-message trace callback.
+//  * harness hook — RunHarness binds an activity counter (for quiet-period
+//    completion detection).
 //
 // Subclasses register handlers in their constructor and override the
 // OnReady / OnProtocolTimer / OnGiveUp / OnBadMessage virtuals as needed.
@@ -30,12 +30,6 @@
 
 namespace elink {
 namespace proto {
-
-/// Per-delivery trace hook: fires for every frame a node receives (before
-/// duplicate suppression / transport acks are filtered out), so it sees the
-/// raw wire traffic.  `to` is the receiving node.
-using TraceFn =
-    std::function<void(double now, int from, int to, const Message& msg)>;
 
 class RunHarness;
 
@@ -181,12 +175,9 @@ class ProtocolNode : public Node {
  private:
   friend class RunHarness;
 
-  /// Wires the harness's activity counter and trace hook.  Must run before
-  /// the node is installed (the harness's InstallNodes does).
-  void BindRuntime(uint64_t* activity, const TraceFn* trace) {
-    activity_ = activity;
-    trace_ = trace;
-  }
+  /// Wires the harness's activity counter.  Must run before the node is
+  /// installed (the harness's InstallNodes does).
+  void BindRuntime(uint64_t* activity) { activity_ = activity; }
 
   void DispatchMessage(int from, const Message& msg);
 
@@ -194,9 +185,8 @@ class ProtocolNode : public Node {
   ReliableChannel channel_;
   ReliableChannel::Config channel_config_;
   bool reliable_enabled_ = false;
-  // Harness bindings; null when the node runs outside a RunHarness.
+  // Harness binding; null when the node runs outside a RunHarness.
   uint64_t* activity_ = nullptr;
-  const TraceFn* trace_ = nullptr;
 };
 
 }  // namespace proto

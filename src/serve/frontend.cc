@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 
 #include "common/status.h"
 
@@ -56,7 +55,7 @@ std::string CanonicalPathKey(int source, int destination,
 
 ServeFrontend::ServeFrontend(std::shared_ptr<const DistanceMetric> metric,
                              const Options& options)
-    : metric_(std::move(metric)), options_(options), cache_(options.cache) {}
+    : metric_(std::move(metric)), cache_(options.cache) {}
 
 ServeFrontend::~ServeFrontend() = default;
 
@@ -73,15 +72,13 @@ void ServeFrontend::Publish(const Clustering& clustering,
     return live.empty() || live[i] != 0;
   };
 
-  if (static_cast<int>(epoch_by_root_.size()) < n) {
-    epoch_by_root_.resize(n, 0);
-  }
-
-  // Which clusters changed since the last publish?  `bump[r]` is indexed by
-  // root in deployment numbering.
-  std::vector<char> bump(epoch_by_root_.size(), 0);
-  const auto mark = [&bump](int root) {
-    if (root >= 0 && root < static_cast<int>(bump.size())) bump[root] = 1;
+  // Which clusters changed since the last publish?  `changed[r]` is indexed
+  // by root in deployment numbering.
+  std::vector<char> changed(n, 0);
+  const auto mark = [&changed](int root) {
+    if (root >= 0 && root < static_cast<int>(changed.size())) {
+      changed[root] = 1;
+    }
   };
   const bool first = version_ == 0;
   if (!first && static_cast<int>(last_features_.size()) == n) {
@@ -113,7 +110,7 @@ void ServeFrontend::Publish(const Clustering& clustering,
     }
   } else if (!first) {
     // Deployment size changed (should not happen under the fixed-n churn
-    // model, but stay safe): bump everything.
+    // model, but stay safe): every cluster changed.
     for (int i = 0; i < n; ++i) {
       if (is_live(i)) mark(clustering.root_of[i]);
     }
@@ -123,51 +120,19 @@ void ServeFrontend::Publish(const Clustering& clustering,
     hook_bumps_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  uint64_t bumped = 0;
-  for (size_t r = 0; r < bump.size(); ++r) {
-    if (bump[r]) {
-      ++epoch_by_root_[r];
-      ++bumped;
-    }
-  }
+  const uint64_t bumped = static_cast<uint64_t>(
+      std::count(changed.begin(), changed.end(), 1));
   epoch_bumps_.fetch_add(bumped, std::memory_order_relaxed);
   publishes_.fetch_add(1, std::memory_order_relaxed);
 
-  if (!first && bumped == 0) {
-    // Nothing observable changed: keep the current view (and the warm
-    // cache) exactly as they are.
-    last_clustering_ = clustering;
-    last_features_ = features;
-    last_adjacency_ = adjacency;
-    last_live_ = live;
-    return;
-  }
-
-  // Assemble the epoch vector of the clusters present in the new state,
-  // ascending by root (root_of values repeat; dedupe via the sorted pass).
-  EpochVector epochs;
-  {
-    std::vector<char> seen(n, 0);
-    for (int i = 0; i < n; ++i) {
-      if (!is_live(i)) continue;
-      const int r = clustering.root_of[i];
-      ELINK_CHECK(r >= 0 && r < n);
-      if (!seen[r]) {
-        seen[r] = 1;
-        epochs.emplace_back(r, epoch_by_root_[r]);
-      }
-    }
-  }
-  // seen[] iteration is in id order already, but be explicit:
-  std::sort(epochs.begin(), epochs.end());
-
-  ++version_;
-  auto view = ReadView::Build(adjacency, features, live, metric_,
-                              std::move(epochs), version_);
-  views_built_.fetch_add(1, std::memory_order_relaxed);
-  SwapView(view);
-  if (options_.enable_cache) {
-    cache_.InvalidateStale(view->epoch_signature());
+  // A changed cluster is the only way to a new version, so two views share
+  // a version exactly when no cluster changed between them.  Nothing
+  // changed: keep the current view (and the warm cache) as they are.
+  if (first || bumped > 0) {
+    ++version_;
+    SwapView(ReadView::Build(adjacency, features, live, metric_, version_));
+    views_built_.fetch_add(1, std::memory_order_relaxed);
+    cache_.InvalidateStale(version_);
   }
 
   last_clustering_ = clustering;
@@ -176,68 +141,42 @@ void ServeFrontend::Publish(const Clustering& clustering,
   last_live_ = live;
 }
 
-ServedRange ServeFrontend::Range(const Feature& q, double r) {
-  range_queries_.fetch_add(1, std::memory_order_relaxed);
+template <class Answer, class Compute>
+Served<Answer> ServeFrontend::Serve(const std::string& key,
+                                    Compute compute) {
   std::shared_ptr<const ReadView> view = View();
   ELINK_CHECK(view != nullptr);
-  ServedRange out;
+  Served<Answer> out;
   out.view_version = view->version();
-  out.epoch_signature = view->epoch_signature();
-  if (options_.enable_cache) {
-    const std::string key = CanonicalRangeKey(q, r);
-    if (auto hit = cache_.Lookup(key, view->epoch_signature());
-        hit && hit->is_range) {
-      out.answer = std::move(hit->range);
+  if (std::optional<CacheEntry> hit = cache_.Lookup(key, view->version())) {
+    if (Answer* cached = std::get_if<Answer>(&hit->answer)) {
+      out.answer = std::move(*cached);
       out.from_cache = true;
-      out.epochs = std::move(hit->epochs);
+      out.answer_version = hit->version;
       return out;
     }
-    out.answer = view->Range(q, r);
-    out.epochs = view->epochs();
-    CacheEntry entry;
-    entry.is_range = true;
-    entry.range = out.answer;
-    entry.signature = view->epoch_signature();
-    entry.epochs = view->epochs();
-    cache_.Insert(key, std::move(entry));
-    return out;
   }
-  out.answer = view->Range(q, r);
-  out.epochs = view->epochs();
+  out.answer = compute(*view);
+  out.answer_version = view->version();
+  cache_.Insert(key, CacheEntry{out.answer, view->version()});
   return out;
+}
+
+ServedRange ServeFrontend::Range(const Feature& q, double r) {
+  range_queries_.fetch_add(1, std::memory_order_relaxed);
+  return Serve<RangeAnswer>(
+      CanonicalRangeKey(q, r),
+      [&](const ReadView& view) { return view.Range(q, r); });
 }
 
 ServedPath ServeFrontend::SafePath(int source, int destination,
                                    const Feature& danger, double gamma) {
   path_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::shared_ptr<const ReadView> view = View();
-  ELINK_CHECK(view != nullptr);
-  ServedPath out;
-  out.view_version = view->version();
-  out.epoch_signature = view->epoch_signature();
-  if (options_.enable_cache) {
-    const std::string key = CanonicalPathKey(source, destination, danger,
-                                             gamma);
-    if (auto hit = cache_.Lookup(key, view->epoch_signature());
-        hit && !hit->is_range) {
-      out.answer = std::move(hit->path);
-      out.from_cache = true;
-      out.epochs = std::move(hit->epochs);
-      return out;
-    }
-    out.answer = view->SafePath(source, destination, danger, gamma);
-    out.epochs = view->epochs();
-    CacheEntry entry;
-    entry.is_range = false;
-    entry.path = out.answer;
-    entry.signature = view->epoch_signature();
-    entry.epochs = view->epochs();
-    cache_.Insert(key, std::move(entry));
-    return out;
-  }
-  out.answer = view->SafePath(source, destination, danger, gamma);
-  out.epochs = view->epochs();
-  return out;
+  return Serve<PathAnswer>(
+      CanonicalPathKey(source, destination, danger, gamma),
+      [&](const ReadView& view) {
+        return view.SafePath(source, destination, danger, gamma);
+      });
 }
 
 std::shared_ptr<const ReadView> ServeFrontend::View() const {
@@ -260,26 +199,6 @@ ServeCounters ServeFrontend::Counters() const {
   c.hook_bumps = hook_bumps_.load(std::memory_order_relaxed);
   c.cache = cache_.Counters();
   return c;
-}
-
-std::string ServeFrontend::CountersJson() const {
-  const ServeCounters c = Counters();
-  std::ostringstream os;
-  os << "{"
-     << "\"cache_capacity_evictions\":" << c.cache.capacity_evictions << ","
-     << "\"cache_hits\":" << c.cache.hits << ","
-     << "\"cache_insertions\":" << c.cache.insertions << ","
-     << "\"cache_invalidated\":" << c.cache.invalidated << ","
-     << "\"cache_misses\":" << c.cache.misses << ","
-     << "\"cache_stale_evictions\":" << c.cache.stale_evictions << ","
-     << "\"epoch_bumps\":" << c.epoch_bumps << ","
-     << "\"hook_bumps\":" << c.hook_bumps << ","
-     << "\"path_queries\":" << c.path_queries << ","
-     << "\"publishes\":" << c.publishes << ","
-     << "\"range_queries\":" << c.range_queries << ","
-     << "\"views_built\":" << c.views_built
-     << "}";
-  return os.str();
 }
 
 }  // namespace serve

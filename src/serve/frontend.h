@@ -6,16 +6,16 @@
 //
 //   * Readers call Range / SafePath from any number of threads.  Each query
 //     pins the current immutable ReadView (a shared_ptr copy under a tiny
-//     lock), consults the sharded epoch-keyed ResultCache, and on a miss
+//     lock), consults the sharded version-keyed ResultCache, and on a miss
 //     computes on the pinned view and inserts the answer stamped with the
-//     view's epoch vector.
+//     view's version.
 //   * The single logical writer calls Publish with the post-maintenance
-//     state.  Publish diffs against the previously published state, bumps
-//     the epoch of every cluster something observable happened to (feature
-//     drift, membership change, node join/leave/crash/repair, link flip),
-//     folds in the epoch bumps the distributed maintenance protocol
-//     reported through its hook, builds a fresh ReadView, swaps it in, and
-//     sweeps stale cache entries.
+//     state.  Publish diffs against the previously published state, marks
+//     every cluster something observable happened to (feature drift,
+//     membership change, node join/leave/crash/repair, link flip), folds in
+//     the epoch bumps the distributed maintenance protocol reported through
+//     its hook, and — when any cluster was marked — builds a fresh ReadView
+//     with the next version, swaps it in, and sweeps stale cache entries.
 //
 // What is (and is not) linearizable: each individual query is linearizable
 // — it observes exactly one published view, atomically.  A client issuing
@@ -25,8 +25,7 @@
 // transactions are NOT provided: two queries may straddle a publish.  The
 // coherence guarantee the test battery enforces is per-answer: every served
 // answer (hit or miss) byte-equals a fresh recomputation against the view
-// whose epoch vector it carries, and a cache hit's epoch vector is current
-// at serve time.
+// it was served from, and a cache hit was computed on that same version.
 #ifndef ELINK_SERVE_FRONTEND_H_
 #define ELINK_SERVE_FRONTEND_H_
 
@@ -54,21 +53,19 @@ std::string CanonicalPathKey(int source, int destination,
                              const Feature& danger, double gamma);
 
 /// A served answer plus its provenance (what the test battery inspects).
-struct ServedRange {
-  RangeAnswer answer;
+template <class Answer>
+struct Served {
+  Answer answer;
   bool from_cache = false;
+  /// Version of the view the query pinned.
   uint64_t view_version = 0;
-  uint64_t epoch_signature = 0;
-  EpochVector epochs;
+  /// Version of the view the answer was computed on: the cache entry's
+  /// stamp on a hit, `view_version` on a miss.  A hit whose two versions
+  /// differ is a stale hit.
+  uint64_t answer_version = 0;
 };
-
-struct ServedPath {
-  PathAnswer answer;
-  bool from_cache = false;
-  uint64_t view_version = 0;
-  uint64_t epoch_signature = 0;
-  EpochVector epochs;
-};
+using ServedRange = Served<RangeAnswer>;
+using ServedPath = Served<PathAnswer>;
 
 /// Deterministic serving counters (monotone; exact under any interleaving).
 struct ServeCounters {
@@ -76,16 +73,15 @@ struct ServeCounters {
   uint64_t path_queries = 0;
   uint64_t publishes = 0;
   uint64_t views_built = 0;   // Publishes that actually changed state.
-  uint64_t epoch_bumps = 0;   // Cluster epochs bumped across all publishes.
+  uint64_t epoch_bumps = 0;   // Changed clusters summed over all publishes.
   uint64_t hook_bumps = 0;    // Bumps reported by the maintenance hook.
   CacheCounters cache;
 };
 
-/// \brief Concurrent query-serving frontend with epoch-keyed caching.
+/// \brief Concurrent query-serving frontend with version-keyed caching.
 class ServeFrontend {
  public:
   struct Options {
-    bool enable_cache = true;
     ResultCache::Options cache;
   };
 
@@ -104,9 +100,9 @@ class ServeFrontend {
   /// numbering); the frontend's own state diff is merged with them, so a
   /// bump is never missed even when the diff cannot see it (e.g. a
   /// membership change that changed back within one quiescence window).
-  /// The first publish seeds the state; later ones bump epochs per changed
-  /// cluster.  Publishing an unchanged state is a no-op that keeps the
-  /// cache warm.
+  /// The first publish seeds the state; later ones publish a new version
+  /// when at least one cluster changed.  Publishing an unchanged state is a
+  /// no-op that keeps the view and the cache warm.
   void Publish(const Clustering& clustering,
                const std::vector<Feature>& features,
                const AdjacencyList& adjacency,
@@ -127,15 +123,15 @@ class ServeFrontend {
   /// Entries currently resident in the result cache.
   size_t CacheSize() const { return cache_.Size(); }
 
-  /// Deterministic JSON of the serving counters, e.g. for
-  /// RunReport::SetSectionJson("serve", ...).  Stable key order.
-  std::string CountersJson() const;
-
  private:
   void SwapView(std::shared_ptr<const ReadView> view);
 
+  /// Serves `key` from the cache when its entry was computed on the current
+  /// view, else answers with `compute(view)` and caches the result.
+  template <class Answer, class Compute>
+  Served<Answer> Serve(const std::string& key, Compute compute);
+
   std::shared_ptr<const DistanceMetric> metric_;
-  Options options_;
   ResultCache cache_;
 
   mutable std::mutex view_mu_;  // Guards view_ swap/copy only.
@@ -147,9 +143,6 @@ class ServeFrontend {
   std::vector<Feature> last_features_;
   AdjacencyList last_adjacency_;
   std::vector<char> last_live_;
-  /// Epoch of the cluster currently rooted at node r; persists across root
-  /// turnover so a reused root id never repeats an old epoch value.
-  std::vector<long long> epoch_by_root_;
   uint64_t version_ = 0;
 
   std::atomic<uint64_t> range_queries_{0};

@@ -7,31 +7,13 @@
 namespace elink {
 namespace serve {
 
-uint64_t EpochSignature(const EpochVector& epochs) {
-  uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const auto& [root, epoch] : epochs) {
-    mix(static_cast<uint64_t>(static_cast<uint32_t>(root)));
-    mix(static_cast<uint64_t>(epoch));
-  }
-  return h;
-}
-
 std::shared_ptr<const ReadView> ReadView::Build(
     const AdjacencyList& adjacency, const std::vector<Feature>& features,
     const std::vector<char>& live,
-    std::shared_ptr<const DistanceMetric> metric, EpochVector epochs,
-    uint64_t version) {
+    std::shared_ptr<const DistanceMetric> metric, uint64_t version) {
   const int n = static_cast<int>(features.size());
   auto view = std::shared_ptr<ReadView>(new ReadView());
   view->metric_ = std::move(metric);
-  view->epochs_ = std::move(epochs);
-  view->signature_ = EpochSignature(view->epochs_);
   view->version_ = version;
 
   view->remap_.assign(n, -1);

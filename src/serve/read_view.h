@@ -2,11 +2,11 @@
 // (elink_serve).
 //
 // A ReadView freezes everything a query needs — live topology, features and
-// the per-cluster epoch vector the view was published at — into one
-// shared-ownership object.  Client threads query a view concurrently with
-// no synchronization: every member is built before publication and never
-// mutated afterwards, so the only coordination in the serving layer is the
-// shared_ptr swap in the frontend.
+// the version the view was published as — into one shared-ownership object.
+// Client threads query a view concurrently with no synchronization: every
+// member is built before publication and never mutated afterwards, so the
+// only coordination in the serving layer is the shared_ptr swap in the
+// frontend.
 //
 // Views are built over the *live* deployment (churn-absent nodes excluded):
 // internally ids are compacted to 0..m-1 and every answer is mapped back to
@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "metric/distance.h"
@@ -34,14 +33,6 @@
 
 namespace elink {
 namespace serve {
-
-/// Per-cluster epoch vector: (root id, epoch) pairs, ascending by root.
-/// Two views expose the same vector iff no observable change (feature,
-/// membership, liveness, or link) touched any cluster between them.
-using EpochVector = std::vector<std::pair<int, long long>>;
-
-/// FNV-1a over an epoch vector; the cache's coarse validity stamp.
-uint64_t EpochSignature(const EpochVector& epochs);
 
 /// The user-facing answer of a served range query: matching node ids in
 /// original (deployment) numbering, ascending.  Screening counters and
@@ -68,13 +59,12 @@ inline bool operator==(const PathAnswer& a, const PathAnswer& b) {
 class ReadView {
  public:
   /// Builds a view from the full-deployment state.  `live` is a 0/1 mask
-  /// (empty means all present).  `epochs` is the per-cluster epoch vector
-  /// the frontend assembled for this publication.
+  /// (empty means all present).  `version` is the frontend's publication
+  /// counter for this view.
   static std::shared_ptr<const ReadView> Build(
       const AdjacencyList& adjacency, const std::vector<Feature>& features,
       const std::vector<char>& live,
-      std::shared_ptr<const DistanceMetric> metric, EpochVector epochs,
-      uint64_t version);
+      std::shared_ptr<const DistanceMetric> metric, uint64_t version);
 
   // -- Queries (thread-safe: the view is immutable) -----------------------
 
@@ -91,9 +81,9 @@ class ReadView {
 
   // -- Introspection ------------------------------------------------------
 
-  const EpochVector& epochs() const { return epochs_; }
-  uint64_t epoch_signature() const { return signature_; }
-  /// Monotone publication counter (1 = the first published view).
+  /// Monotone publication counter (1 = the first published view).  A new
+  /// version is published exactly when some cluster changed, so it is the
+  /// serving layer's coherence stamp.
   uint64_t version() const { return version_; }
   /// Live node count (the compacted domain).
   int num_live() const { return static_cast<int>(compact_features_.size()); }
@@ -118,9 +108,6 @@ class ReadView {
   std::vector<Feature> compact_features_;
   FeaturePool pool_;  // compact_features_ in SoA layout, for BatchDistance.
   std::shared_ptr<const DistanceMetric> metric_;
-
-  EpochVector epochs_;
-  uint64_t signature_ = 0;
   uint64_t version_ = 0;
 };
 

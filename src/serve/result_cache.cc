@@ -24,7 +24,7 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
 }
 
 std::optional<CacheEntry> ResultCache::Lookup(const std::string& key,
-                                              uint64_t signature) {
+                                              uint64_t version) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
@@ -32,7 +32,7 @@ std::optional<CacheEntry> ResultCache::Lookup(const std::string& key,
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (it->second.signature != signature) {
+  if (it->second.version != version) {
     // Raced a publish past the eager sweep: drop it here, never serve it.
     shard.map.erase(it);
     shard.order.erase(
@@ -79,13 +79,13 @@ void ResultCache::Insert(const std::string& key, CacheEntry entry) {
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-uint64_t ResultCache::InvalidateStale(uint64_t current_signature) {
+uint64_t ResultCache::InvalidateStale(uint64_t current_version) {
   uint64_t dropped = 0;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (size_t i = 0; i < shard.order.size();) {
       auto it = shard.map.find(shard.order[i]);
-      if (it->second.signature != current_signature) {
+      if (it->second.version != current_version) {
         shard.map.erase(it);
         shard.order.erase(shard.order.begin() + static_cast<long>(i));
         ++dropped;

@@ -1,22 +1,19 @@
-// Sharded, epoch-keyed result cache for the serving layer (elink_serve).
+// Sharded, version-keyed result cache for the serving layer (elink_serve).
 //
 // Entries are keyed by the canonicalized predicate bytes of a query and
-// stamped with the per-cluster epoch vector (and its signature) of the
-// ReadView the answer was computed on.  A lookup only hits when the stored
-// signature equals the signature of the view currently being served — an
-// entry computed before any cluster's epoch bumped can never be returned,
-// which is the whole coherence argument: every observable state change
-// (feature, membership, liveness, link) bumps at least one cluster epoch,
-// so signature equality implies the cached answer byte-equals a fresh
-// recomputation (tests/serve_parity_test.cc proves this under fuzzed
-// concurrent maintenance).
+// stamped with the version of the ReadView the answer was computed on.  A
+// lookup only hits when the stored version equals the version of the view
+// currently being served.  That is the whole coherence argument: the
+// frontend publishes a new view exactly when some cluster changed (feature,
+// membership, liveness, link), so an equal version means the cached answer
+// byte-equals a fresh recomputation (tests/serve_parity_test.cc proves this
+// under fuzzed concurrent maintenance).
 //
-// Invalidation is push + pull: the maintenance epoch-bump hook calls
-// InvalidateStale(new_signature) to sweep entries eagerly (counted
-// per-cluster by the frontend), and any entry that survives a sweep —
-// because it raced the publish — is caught lazily at lookup time by the
-// signature check and evicted then.  Correctness never depends on the
-// sweep; the sweep only bounds memory and keeps the hit path short.
+// Invalidation is push + pull: every publish calls InvalidateStale(version)
+// to sweep entries eagerly, and any entry that survives a sweep — because it
+// raced the publish — is caught lazily at lookup time by the version check
+// and evicted then.  Correctness never depends on the sweep; the sweep only
+// bounds memory and keeps the hit path short.
 //
 // Sharding: keys hash onto kShards independent shards, each with its own
 // mutex and map, so concurrent clients on different predicates never
@@ -31,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "serve/read_view.h"
@@ -42,14 +40,11 @@ namespace serve {
 /// both for shard selection and as the map hash.
 uint64_t HashKey(const std::string& key);
 
-/// One cached answer.  `range`/`path` discriminated by `is_range`.
+/// One cached answer.
 struct CacheEntry {
-  bool is_range = true;
-  RangeAnswer range;
-  PathAnswer path;
-  /// Epoch stamp of the view the answer was computed on.
-  uint64_t signature = 0;
-  EpochVector epochs;
+  std::variant<RangeAnswer, PathAnswer> answer;
+  /// Version of the view the answer was computed on.
+  uint64_t version = 0;
   /// Second-chance bit for CLOCK eviction.
   bool referenced = false;
 };
@@ -59,7 +54,7 @@ struct CacheEntry {
 struct CacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t stale_evictions = 0;  // Lazily dropped at lookup (sig mismatch).
+  uint64_t stale_evictions = 0;  // Lazily dropped at lookup (old version).
   uint64_t invalidated = 0;      // Swept by InvalidateStale.
   uint64_t capacity_evictions = 0;
   uint64_t insertions = 0;
@@ -76,19 +71,18 @@ class ResultCache {
   explicit ResultCache(const Options& options);
   ResultCache() : ResultCache(Options()) {}
 
-  /// Looks up `key`; hits only when the stored epoch signature equals
-  /// `signature`.  A stale entry under the key is evicted and counted.
-  std::optional<CacheEntry> Lookup(const std::string& key,
-                                   uint64_t signature);
+  /// Looks up `key`; hits only when the stored version equals `version`.
+  /// A stale entry under the key is evicted and counted.
+  std::optional<CacheEntry> Lookup(const std::string& key, uint64_t version);
 
   /// Inserts (or replaces) the entry under `key`, evicting a victim when
   /// the shard is full.
   void Insert(const std::string& key, CacheEntry entry);
 
-  /// Sweeps out every entry whose signature differs from
-  /// `current_signature`; returns how many were dropped.  Called by the
-  /// frontend when maintenance bumps cluster epochs.
-  uint64_t InvalidateStale(uint64_t current_signature);
+  /// Sweeps out every entry whose version differs from `current_version`;
+  /// returns how many were dropped.  Called by the frontend at every
+  /// publish of a new view.
+  uint64_t InvalidateStale(uint64_t current_version);
 
   /// Drops everything (testing / reconfiguration).
   void Clear();

@@ -49,6 +49,11 @@ Network::Network(Topology topology, Config config)
                            this);
   if (churn_.enabled()) {
     live_adjacency_ = topology_.adjacency;
+    // Only nodes named by a churn event are ever absent.
+    absent_.assign(topology_.num_nodes(), 0);
+    for (const ChurnSchedule::Event& ev : churn_.events()) {
+      absent_[ev.a] = churn_.IsAbsent(ev.a, Now()) ? 1 : 0;
+    }
     // The whole plan is scheduled up front; event callbacks draw no
     // randomness, so enabling churn perturbs no RNG stream.
     for (const ChurnSchedule::Event& ev : churn_.events()) {
@@ -91,13 +96,25 @@ void Network::RestartNode(int node) {
 
 void Network::NotifyNeighbors(int node, bool up) {
   for (int nb : neighbors(node)) {
-    if (churn_.IsAbsent(nb, Now())) continue;
+    if (absent_[nb]) continue;
     if (nodes_[nb] != nullptr) nodes_[nb]->OnNeighborChange(node, up);
   }
 }
 
 void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
   using Event = ChurnSchedule::Event;
+  // Fold every event of this instant into the presence mask before any
+  // restart or neighbor callback runs, so code reacting to the first of
+  // several same-instant events (a fire front crossing a grid column)
+  // already sees the presence IsAbsent reports for the instant.  Events fire
+  // in events() order, so the cursor never skips one.
+  const std::vector<Event>& events = churn_.events();
+  for (; next_churn_event_ < events.size() &&
+         events[next_churn_event_].at <= Now();
+       ++next_churn_event_) {
+    const int u = events[next_churn_event_].a;
+    absent_[u] = churn_.IsAbsent(u, Now()) ? 1 : 0;
+  }
   switch (ev.kind) {
     case Event::kJoin:
     case Event::kRepair:
@@ -128,10 +145,10 @@ void Network::ApplyChurnEvent(const ChurnSchedule::Event& ev) {
       // Routed paths must not cross a removed edge (or miss a shortcut), so
       // every cached route is rebuilt on demand from the edited adjacency.
       InvalidateRoutes();
-      if (!churn_.IsAbsent(ev.a, Now()) && nodes_[ev.a] != nullptr) {
+      if (!absent_[ev.a] && nodes_[ev.a] != nullptr) {
         nodes_[ev.a]->OnNeighborChange(ev.b, add);
       }
-      if (!churn_.IsAbsent(ev.b, Now()) && nodes_[ev.b] != nullptr) {
+      if (!absent_[ev.b] && nodes_[ev.b] != nullptr) {
         nodes_[ev.b]->OnNeighborChange(ev.a, add);
       }
       break;
@@ -274,7 +291,7 @@ void Network::OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux) {
   // pending timers; protocols re-arm on recovery if they support it).
   const double now = net->queue_.Now();
   if (net->fault_.enabled() && net->fault_.IsCrashed(node, now)) return;
-  if (net->churn_.enabled() && net->churn_.IsAbsent(node, now)) return;
+  if (net->churn_.enabled() && net->absent_[node]) return;
   if (net->observer_ != nullptr) {
     const uint64_t self = net->NewCauseId();
     net->queue_.set_active_cause(self);
@@ -320,27 +337,18 @@ void Network::Broadcast(int from, Message msg) {
 
 void Network::InvalidateRoutes() {
   for (std::unique_ptr<ResumableBfs>& r : routes_) r.reset();
-  route_absent_stale_ = true;
 }
 
 const ResumableBfs& Network::TableFor(int to, int from) {
-  if (churn_.enabled() && route_absent_stale_) {
-    // Routes must not relay through churn-absent nodes: an absent relay
-    // sinks every frame that crosses it, so a path "through" one is no path
-    // at all.  Absence only changes at churn events, each of which marks
-    // the mask stale, so one evaluation serves the whole epoch.
-    route_absent_.assign(num_nodes(), 0);
-    for (int u = 0; u < num_nodes(); ++u) {
-      route_absent_[u] = churn_.IsAbsent(u, Now()) ? 1 : 0;
-    }
-    route_absent_stale_ = false;
-  }
   std::unique_ptr<ResumableBfs>& route = routes_[to];
   if (route == nullptr) {
     route = std::make_unique<ResumableBfs>(num_nodes(), to);
   }
+  // Routes must not relay through churn-absent nodes: an absent relay sinks
+  // every frame that crosses it, so a path "through" one is no path at all.
+  // The mask is empty without churn.
   route->Expand(churn_.enabled() ? live_adjacency_ : topology_.adjacency,
-                route_absent_, from);
+                absent_, from);
   return *route;
 }
 
@@ -348,7 +356,7 @@ int Network::SendRouted(int from, int to, Message msg) {
   ELINK_CHECK(nodes_[to] != nullptr);
   if (from == to) {
     if (fault_.enabled() && fault_.IsCrashed(to, Now())) return 0;
-    if (churn_.enabled() && churn_.IsAbsent(to, Now())) return 0;
+    if (churn_.enabled() && absent_[to]) return 0;
     uint64_t mid = 0;
     if (observer_ != nullptr) {
       mid = NewCauseId();

@@ -212,18 +212,13 @@ class Network {
   const MessageArena& arena() const { return arena_; }
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
-  Rng& rng() { return rng_; }
-  const FaultInjector& fault() const { return fault_; }
-  const ChurnSchedule& churn() const { return churn_; }
 
   /// True when `id` is deployed right now under the churn plan (joined, not
   /// left, not in a churn crash window).  Fault-plan crashes do NOT count:
   /// they are protocol-invisible.  Always true without churn.  This is the
   /// directory knowledge a membership layer would give protocols — it is
   /// deterministic and consumes no randomness.
-  bool IsPresent(int id) const {
-    return !churn_.enabled() || !churn_.IsAbsent(id, queue_.Now());
-  }
+  bool IsPresent(int id) const { return !churn_.enabled() || !absent_[id]; }
 
   /// Transmissions lost because of churn (absent endpoint or removed link).
   /// A transmission that would also have been lost to the fault plan still
@@ -251,14 +246,14 @@ class Network {
   /// The routing BFS towards `to`, expanded until `from` is discovered (or
   /// found unreachable).  Its parents are the next hops towards `to`.
   const ResumableBfs& TableFor(int to, int from);
-  /// Drops every routing BFS and the absence mask they share; called on
-  /// every churn event.
+  /// Drops every routing BFS; called on every churn event.
   void InvalidateRoutes();
   /// True when (from, to) is an edge of the *current* (churn-edited)
   /// adjacency.  Only meaningful while churn is enabled.
   bool HasLiveEdge(int from, int to) const;
-  /// Applies one scheduled churn event: restarts/notifies nodes, edits the
-  /// live adjacency, invalidates routes, reports to the observer.
+  /// Applies one scheduled churn event: updates the presence mask,
+  /// restarts/notifies nodes, edits the live adjacency, invalidates routes,
+  /// reports to the observer.
   void ApplyChurnEvent(const ChurnSchedule::Event& ev);
   /// Bumps `node`'s restart generation (orphaning its pending timers) and
   /// invokes Node::OnRestart.
@@ -330,11 +325,13 @@ class Network {
   // destination node id: created on a destination's first routed call and
   // expanded only as far as the sources asked about so far.
   std::vector<std::unique_ptr<ResumableBfs>> routes_;
-  // Churn only: 1 for nodes absent in the current churn epoch, so routes
-  // never relay through them.  Computed at the epoch's first routed call;
-  // absence changes only at churn events, which all mark it stale.
-  std::vector<char> route_absent_;
-  bool route_absent_stale_ = true;
+  // Churn only: 1 for nodes absent right now (ChurnSchedule::IsAbsent at
+  // Now()).  Presence, timer suppression and routing (which never relays
+  // through an absent node) all read it.  Absence changes only at churn
+  // events, so ApplyChurnEvent keeps it current: `next_churn_event_` is the
+  // first event of churn_.events() not yet folded into the mask.
+  std::vector<char> absent_;
+  size_t next_churn_event_ = 0;
 };
 
 }  // namespace elink

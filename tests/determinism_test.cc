@@ -171,21 +171,26 @@ TEST(ParallelTrialRunnerTest, TrialsUnderThreadsMatchSerialBits) {
 // ---------------------------------------------------------------------------
 // Serving-layer replay determinism: a single-threaded serve replay (clients
 // interleaved round-robin with maintenance publishes) digests to the same
-// pinned bits on every run, with caching on or off, and whether the replay
-// runs serially or inside bench worker threads.  Wall-clock latency
-// deliberately never enters the digest — timing lives in
+// pinned bits on every run, through the cache or straight from the pinned
+// view, and whether the replay runs serially or inside bench worker threads.
+// Wall-clock latency deliberately never enters the digest — timing lives in
 // bench/perf_serve.cc only.
 
+/// Replays the seed's workload.  `through_cache` serves every read through
+/// the frontend; otherwise each read is answered by ReadView::Range /
+/// SafePath on the current view, the uncached reference.  `counters`, when
+/// set, receives the frontend's counters at the end of the replay.
 uint64_t ServeReplayDigest(const SensorDataset& ds, uint64_t seed,
-                           bool enable_cache) {
+                           bool through_cache,
+                           serve::ServeCounters* counters = nullptr) {
   ClusteredSensorNetwork::Options opts;
   opts.delta = kGoldenDelta;
   opts.seed = 5;
   auto net = std::move(ClusteredSensorNetwork::Build(ds, opts)).value();
   serve::ServeFrontend::Options fopt;
-  fopt.enable_cache = enable_cache;
   fopt.cache.capacity_per_shard = 8;  // Evictions are part of the replay.
   serve::ServeSession session(net.get(), fopt);
+  serve::ServeFrontend& frontend = session.frontend();
 
   serve::WorkloadConfig wcfg;
   wcfg.num_clients = 2;
@@ -200,13 +205,18 @@ uint64_t ServeReplayDigest(const SensorDataset& ds, uint64_t seed,
       for (const serve::WorkloadOp& op : gen.ClientOps(client)) {
         if (op.is_range) {
           h = serve::DigestRange(
-              h, session.frontend().Range(op.feature, op.scalar).answer);
+              h, through_cache
+                     ? frontend.Range(op.feature, op.scalar).answer
+                     : frontend.View()->Range(op.feature, op.scalar));
         } else {
           h = serve::DigestPath(
-              h, session.frontend()
-                     .SafePath(op.source, op.destination, op.feature,
-                               op.scalar)
-                     .answer);
+              h, through_cache
+                     ? frontend
+                           .SafePath(op.source, op.destination, op.feature,
+                                     op.scalar)
+                           .answer
+                     : frontend.View()->SafePath(op.source, op.destination,
+                                                 op.feature, op.scalar));
         }
       }
     }
@@ -215,6 +225,7 @@ uint64_t ServeReplayDigest(const SensorDataset& ds, uint64_t seed,
     f[0] += rng.Uniform(-5.0, 5.0);
     session.UpdateFeatureAndPublish(node, f);
   }
+  if (counters != nullptr) *counters = frontend.Counters();
   return h;
 }
 
@@ -227,15 +238,28 @@ const std::vector<uint64_t> kGoldenServeDigestSeeds567 = {
 
 TEST(ServeDeterminismTest, ReplayBitsMatchAcrossRunsAndCacheModes) {
   const SensorDataset ds = GoldenDataset();
-  const uint64_t cached = ServeReplayDigest(ds, 17, /*enable_cache=*/true);
+  serve::ServeCounters counters;
+  const uint64_t cached =
+      ServeReplayDigest(ds, 17, /*through_cache=*/true, &counters);
   const uint64_t cached_again =
-      ServeReplayDigest(ds, 17, /*enable_cache=*/true);
-  const uint64_t uncached = ServeReplayDigest(ds, 17, /*enable_cache=*/false);
+      ServeReplayDigest(ds, 17, /*through_cache=*/true);
+  const uint64_t uncached = ServeReplayDigest(ds, 17, /*through_cache=*/false);
   EXPECT_EQ(cached, cached_again);
   // Coherence in digest form: caching must never change a served answer.
   EXPECT_EQ(cached, uncached);
   EXPECT_EQ(cached, kGoldenServeDigestSeed17);
   EXPECT_EQ(uncached, kGoldenServeDigestSeed17);
+  // The cache's ledger of the same replay, recorded while the cache was
+  // keyed by a per-cluster epoch vector: keying it by the view version
+  // serves, sweeps and evicts exactly the same entries.
+  EXPECT_EQ(counters.cache.hits, 138u);
+  EXPECT_EQ(counters.cache.misses, 42u);
+  EXPECT_EQ(counters.cache.insertions, 42u);
+  EXPECT_EQ(counters.cache.invalidated, 42u);
+  EXPECT_EQ(counters.cache.stale_evictions, 0u);
+  EXPECT_EQ(counters.cache.capacity_evictions, 0u);
+  EXPECT_EQ(counters.epoch_bumps, 3u);
+  EXPECT_EQ(counters.views_built, 4u);
 }
 
 TEST(ServeDeterminismTest, ReplayBitsMatchUnderBenchThreads) {

@@ -741,7 +741,7 @@ TEST(TruncationInjectionTest, RangeQueryCountsErrorsAndFinishes) {
   EXPECT_GT(decode_errors, 0u);
 }
 
-// -- RunHarness::set_trace ordering -----------------------------------------
+// -- Delivery trace ordering (SimObserver::OnDeliver) ------------------------
 
 namespace tracewire {
 /// Minimal schema for the trace-ordering protocol below.
@@ -758,8 +758,8 @@ struct Ping {
 }  // namespace tracewire
 
 /// Every node pings all neighbors at install; receivers ping back while the
-/// ttl lasts.  Over ReliableChannel with lossy links this produces exactly
-/// the traffic mix the trace hook documents: data frames, transport acks,
+/// ttl lasts.  Over ReliableChannel with lossy links this produces the whole
+/// traffic mix a delivery observer sees: data frames, transport acks,
 /// retransmissions, and duplicate deliveries.
 class TracePingNode : public proto::ProtocolNode {
  public:
@@ -797,23 +797,31 @@ struct TracedFrame {
   bool operator==(const TracedFrame&) const = default;
 };
 
+/// Records every frame delivered to any node, before the receiver's
+/// transport filters acks and duplicates out.
+class DeliveryRecorder : public SimObserver {
+ public:
+  void OnDeliver(double now, int from, int to, const Message& msg) override {
+    frames.push_back({now, from, to, msg.type, msg.rel_ack, msg.rel_seq});
+  }
+  std::vector<TracedFrame> frames;
+};
+
 std::vector<TracedFrame> RunTracedPing(uint64_t seed) {
   const SensorDataset ds = Terrain(36);
   proto::RunHarness::Options hopt;
   hopt.net.seed = seed;
   hopt.net.fault.drop_probability = 0.25;
   proto::RunHarness harness(ds.topology, hopt);
-  std::vector<TracedFrame> trace;
-  harness.set_trace([&](double now, int from, int to, const Message& msg) {
-    trace.push_back({now, from, to, msg.type, msg.rel_ack, msg.rel_seq});
-  });
+  DeliveryRecorder recorder;
+  harness.set_observer(&recorder);
   ReliableChannel::Config rel;
   rel.rto = 6.0;
   rel.max_retries = 4;
   harness.InstallNodes(
       [&](int) { return std::make_unique<TracePingNode>(rel); });
   harness.Run();
-  return trace;
+  return std::move(recorder.frames);
 }
 
 TEST(RunHarnessTraceTest, DeterministicOrderWithAcksAndDuplicates) {
@@ -828,7 +836,7 @@ TEST(RunHarnessTraceTest, DeterministicOrderWithAcksAndDuplicates) {
         << "trace order regressed at entry " << i;
   }
 
-  // The raw hook sees the transport plane: acks for delivered data frames
+  // The observer sees the transport plane: acks for delivered data frames
   // and, with lossy links, duplicate deliveries of retransmitted frames.
   size_t acks = 0;
   std::map<std::tuple<int, int, long long>, int> data_copies;

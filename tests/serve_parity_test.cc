@@ -3,14 +3,14 @@
 // (with churn, faults, and feature updates) publishes state changes
 // underneath them.
 //
-// Every published view is logged by its epoch signature (epochs are
-// monotone per cluster, so signatures never recur across distinct states).
-// After the threads join, every served answer — cache hit or miss — is
-// checked against
+// Every published view is logged by its version (versions are monotone, so
+// they never recur across distinct states).  After the threads join, every
+// served answer — cache hit or miss — is checked against
 //   (a) a fresh recomputation on the exact view it was served from,
 //   (b) the exact linear-scan / BFS oracles over that view's live state,
-//   (c) for cache hits, the requirement that the carried epoch vector was
-//       current at serve time (a stale hit is the coherence failure).
+//   (c) for cache hits, the requirement that the answer was computed on the
+//       version current at serve time (a stale hit is the coherence
+//       failure).
 // Failures print the scenario seed and the offending op for reproduction.
 #include <gtest/gtest.h>
 
@@ -50,28 +50,28 @@ struct ServedOp {
   RangeAnswer range;
   PathAnswer path;
   bool from_cache = false;
-  uint64_t signature = 0;
-  EpochVector epochs;
+  uint64_t view_version = 0;
+  uint64_t answer_version = 0;
 };
 
-// Thread-safe signature -> published-view log.  The writer records every
-// view right after Publish; shared_ptrs keep superseded views alive for the
+// Thread-safe version -> published-view log.  The writer records every view
+// right after Publish; shared_ptrs keep superseded views alive for the
 // post-hoc audit.
 class ViewLog {
  public:
   void Record(std::shared_ptr<const ReadView> view) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = views_.emplace(view->epoch_signature(), view);
+    auto [it, inserted] = views_.emplace(view->version(), view);
     if (!inserted) {
-      // Same signature must mean the same published state (no-op publish).
-      ASSERT_EQ(it->second->version(), view->version())
-          << "epoch signature collision between distinct views";
+      // Same version must mean the same published view (no-op publish).
+      ASSERT_EQ(it->second, view)
+          << "version collision between distinct views";
     }
   }
 
-  std::shared_ptr<const ReadView> Find(uint64_t signature) const {
+  std::shared_ptr<const ReadView> Find(uint64_t version) const {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = views_.find(signature);
+    auto it = views_.find(version);
     return it == views_.end() ? nullptr : it->second;
   }
 
@@ -100,12 +100,13 @@ void AuditAnswer(const Scenario& s, const ViewLog& log, const ServedOp& rec) {
                << (rec.is_range ? " range r=" : " path gamma=")
                << rec.op.scalar << " src=" << rec.op.source
                << " dst=" << rec.op.destination
-               << " cached=" << rec.from_cache << " sig=" << rec.signature);
-  std::shared_ptr<const ReadView> view = log.Find(rec.signature);
+               << " cached=" << rec.from_cache
+               << " version=" << rec.view_version);
+  std::shared_ptr<const ReadView> view = log.Find(rec.view_version);
   ASSERT_NE(view, nullptr) << "answer served from an unlogged view";
   if (rec.from_cache) {
-    EXPECT_EQ(rec.epochs, view->epochs())
-        << "stale hit: cached epoch vector was not current at serve time";
+    EXPECT_EQ(rec.answer_version, view->version())
+        << "stale hit: cached answer was computed on an older view";
   }
   std::vector<int> remap(s.topology.num_nodes(), -1);
   for (int c = 0; c < view->num_live(); ++c) {
@@ -115,7 +116,7 @@ void AuditAnswer(const Scenario& s, const ViewLog& log, const ServedOp& rec) {
     const RangeAnswer fresh = view->Range(rec.op.feature, rec.op.scalar);
     EXPECT_TRUE(rec.range == fresh)
         << "served range answer differs from fresh recomputation at the "
-           "served epoch";
+           "served version";
     std::vector<int> oracle = RangeOracle(view->compact_features(), *s.metric,
                                           rec.op.feature, rec.op.scalar);
     for (int& id : oracle) id = view->original_id(id);
@@ -126,7 +127,7 @@ void AuditAnswer(const Scenario& s, const ViewLog& log, const ServedOp& rec) {
                                             rec.op.feature, rec.op.scalar);
     EXPECT_TRUE(rec.path == fresh)
         << "served path answer differs from fresh recomputation at the "
-           "served epoch";
+           "served version";
     const bool live = view->node_live(rec.op.source) &&
                       view->node_live(rec.op.destination);
     const bool oracle =
@@ -215,16 +216,16 @@ void RunScenarioWithClients(uint64_t seed) {
                 driver.frontend().Range(ops[k].feature, ops[k].scalar);
             rec.range = sr2.answer;
             rec.from_cache = sr2.from_cache;
-            rec.signature = sr2.epoch_signature;
-            rec.epochs = sr2.epochs;
+            rec.view_version = sr2.view_version;
+            rec.answer_version = sr2.answer_version;
           } else {
             const ServedPath sp = driver.frontend().SafePath(
                 ops[k].source, ops[k].destination, ops[k].feature,
                 ops[k].scalar);
             rec.path = sp.answer;
             rec.from_cache = sp.from_cache;
-            rec.signature = sp.epoch_signature;
-            rec.epochs = sp.epochs;
+            rec.view_version = sp.view_version;
+            rec.answer_version = sp.answer_version;
           }
           out.push_back(std::move(rec));
         }
@@ -235,8 +236,8 @@ void RunScenarioWithClients(uint64_t seed) {
 
   // Writer thread: the single maintenance driver.  Publishes after every
   // quiescent step.  A client may serve from a view before the writer logs
-  // it, but the log is only read after both sides join, so every signature
-  // a client recorded is resolvable by then.
+  // it, but the log is only read after both sides join, so every version a
+  // client recorded is resolvable by then.
   std::thread writer([&] {
     for (const check::TimedUpdate& u : s.scheduled_updates) {
       dm.ScheduleUpdate(u.at, u.node, u.feature);

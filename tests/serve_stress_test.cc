@@ -75,8 +75,8 @@ TEST(ServeStressTest, ConcurrentClientsDuringPublishesAndEviction) {
     });
   }
 
-  // Writer: keep bumping epochs (feature nudges re-cluster nothing but
-  // invalidate the touched cluster) while clients run.
+  // Writer: keep publishing new versions (feature nudges re-cluster
+  // nothing but change the touched cluster) while clients run.
   std::thread writer([&] {
     Rng rng(7);
     for (int round = 0; round < 30; ++round) {
@@ -99,7 +99,7 @@ TEST(ServeStressTest, ConcurrentClientsDuringPublishesAndEviction) {
   EXPECT_EQ(c.cache.insertions, c.cache.misses);
   // Residency stays within the configured bound.
   EXPECT_LE(session.frontend().CacheSize(), 2u * 4u);
-  // 30 publishes with one touched cluster each: epochs moved, and the
+  // 30 publishes with one touched cluster each: versions moved, and the
   // invalidation machinery actually fired.
   EXPECT_EQ(c.publishes, 31u);  // Initial + 30 rounds.
   EXPECT_GE(c.epoch_bumps, 30u);
@@ -114,26 +114,24 @@ TEST(ServeStressTest, InvalidationCountersAreConsistent) {
   ResultCache cache(opt);
 
   std::vector<std::thread> threads;
-  std::atomic<uint64_t> sig{1};
+  std::atomic<uint64_t> version{1};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(100 + t);
       for (int i = 0; i < 2000; ++i) {
         const std::string key =
             "k" + std::to_string(rng.UniformInt(64));
-        const uint64_t current = sig.load(std::memory_order_relaxed);
+        const uint64_t current = version.load(std::memory_order_relaxed);
         if (!cache.Lookup(key, current).has_value()) {
-          CacheEntry e;
-          e.is_range = true;
-          e.signature = current;
-          cache.Insert(key, e);
+          cache.Insert(key, CacheEntry{RangeAnswer{}, current});
         }
       }
     });
   }
   std::thread invalidator([&] {
     for (int i = 0; i < 50; ++i) {
-      cache.InvalidateStale(sig.fetch_add(1, std::memory_order_relaxed) + 1);
+      cache.InvalidateStale(version.fetch_add(1, std::memory_order_relaxed) +
+                            1);
     }
   });
   for (std::thread& t : threads) t.join();

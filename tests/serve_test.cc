@@ -1,12 +1,13 @@
 // Unit tests for the serving layer (src/serve): canonical cache keys, the
-// epoch-keyed result cache, read-view snapshotting and its differential
-// check against the in-network engines, publish-time epoch diffing,
+// version-keyed result cache, read-view snapshotting and its differential
+// check against the in-network engines, publish-time change diffing,
 // workload determinism, and the facade-backed serving session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <variant>
 
 #include "check/invariants.h"
 #include "check/scenario.h"
@@ -49,26 +50,10 @@ TEST(CanonicalKeyTest, EqualPredicatesShareKeys) {
             CanonicalPathKey(2, 1, {1.0}, 0.5));
 }
 
-// -- Epoch signatures -------------------------------------------------------
-
-TEST(EpochSignatureTest, DistinguishesVectors) {
-  const EpochVector a = {{0, 1}, {5, 2}};
-  const EpochVector b = {{0, 1}, {5, 3}};
-  const EpochVector c = {{0, 1}, {6, 2}};
-  EXPECT_EQ(EpochSignature(a), EpochSignature(a));
-  EXPECT_NE(EpochSignature(a), EpochSignature(b));
-  EXPECT_NE(EpochSignature(a), EpochSignature(c));
-  EXPECT_NE(EpochSignature({}), EpochSignature(a));
-}
-
 // -- Result cache -----------------------------------------------------------
 
-CacheEntry RangeEntry(uint64_t signature, std::vector<int> matches) {
-  CacheEntry e;
-  e.is_range = true;
-  e.range.matches = std::move(matches);
-  e.signature = signature;
-  return e;
+CacheEntry RangeEntry(uint64_t version, std::vector<int> matches) {
+  return CacheEntry{RangeAnswer{std::move(matches)}, version};
 }
 
 TEST(ResultCacheTest, HitMissAndStaleEviction) {
@@ -77,8 +62,9 @@ TEST(ResultCacheTest, HitMissAndStaleEviction) {
   cache.Insert("k", RangeEntry(1, {1, 2, 3}));
   auto hit = cache.Lookup("k", 1);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->range.matches, (std::vector<int>{1, 2, 3}));
-  // Same key, newer epoch signature: the stale entry must be evicted, not
+  EXPECT_EQ(std::get<RangeAnswer>(hit->answer).matches,
+            (std::vector<int>{1, 2, 3}));
+  // Same key, newer view version: the stale entry must be evicted, not
   // served.
   EXPECT_FALSE(cache.Lookup("k", 2).has_value());
   EXPECT_EQ(cache.Size(), 0u);
@@ -194,7 +180,7 @@ void ExpectViewMatchesEngines(const SensorDataset& ds,
                               int predicates, uint64_t seed, DiffTally* t) {
   const int n = ds.topology.num_nodes();
   auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
-                              ds.metric, {{0, 0}}, 1);
+                              ds.metric, 1);
   const int m = view->num_live();
   std::vector<int> remap(n, -1);
   for (int c = 0; c < m; ++c) remap[view->original_id(c)] = c;
@@ -319,7 +305,7 @@ TEST(ReadViewTest, ChurnedViewCompactsAndMapsBack) {
   }
   ASSERT_EQ(killed, 5);
   auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
-                              ds.metric, {{0, 0}}, 1);
+                              ds.metric, 1);
   EXPECT_EQ(view->num_live(), 55);
   // Dead nodes never appear in answers; live answers are in original ids.
   const Feature q = ds.features[0];
@@ -356,7 +342,7 @@ TEST(ReadViewTest, MidChurnOrphanRootServesExactFallback) {
   std::vector<char> live(60, 1);
   live[dead_root] = 0;
   auto view = ReadView::Build(ds.topology.adjacency, ds.features, live,
-                              ds.metric, {{0, 7}}, 3);
+                              ds.metric, 3);
   ASSERT_EQ(view->num_live(), 59);
   // Answers are still exact against the linear oracle.
   const Feature q = ds.features[dead_root];
@@ -393,69 +379,61 @@ TEST(ReadViewTest, RangeToleranceDoesNotDependOnChurn) {
   }
 
   auto full = ReadView::Build(ds.topology.adjacency, ds.features, {},
-                              ds.metric, {{0, 0}}, 1);
+                              ds.metric, 1);
   auto churned = ReadView::Build(ds.topology.adjacency, ds.features, live,
-                                 ds.metric, {{0, 1}}, 2);
+                                 ds.metric, 2);
   EXPECT_EQ(full->Range(q, r).matches, oracle);
   EXPECT_EQ(churned->Range(q, r).matches, live_oracle);
 }
 
-// -- Frontend epoch bookkeeping ---------------------------------------------
+// -- Frontend version bookkeeping -------------------------------------------
 
-TEST(ServeFrontendTest, RepublishingUnchangedStateKeepsSignatureAndCache) {
+TEST(ServeFrontendTest, RepublishingUnchangedStateKeepsVersionAndCache) {
   const SensorDataset ds = SmallDs();
   auto net = SmallNet(ds);
   ServeSession session(net.get(), {});
-  const uint64_t sig0 = session.frontend().View()->epoch_signature();
+  const std::shared_ptr<const ReadView> view0 = session.frontend().View();
   const ServedRange first = session.frontend().Range(ds.features[0], 10.0);
   EXPECT_FALSE(first.from_cache);
+  EXPECT_EQ(first.answer_version, view0->version());
   session.Publish();  // Nothing changed.
-  EXPECT_EQ(session.frontend().View()->epoch_signature(), sig0);
+  EXPECT_EQ(session.frontend().View(), view0);
   const ServedRange again = session.frontend().Range(ds.features[0], 10.0);
   EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.answer_version, view0->version());
   EXPECT_TRUE(again.answer == first.answer);
+  const ServeCounters c = session.frontend().Counters();
+  EXPECT_EQ(c.publishes, 2u);
+  EXPECT_EQ(c.views_built, 1u);
+  EXPECT_EQ(c.epoch_bumps, 0u);
 }
 
 TEST(ServeFrontendTest, FeatureChangeBumpsOnlyTouchedClusters) {
   const SensorDataset ds = SmallDs();
   auto net = SmallNet(ds);
   ServeSession session(net.get(), {});
-  const EpochVector before = session.frontend().View()->epochs();
+  const uint64_t v0 = session.frontend().View()->version();
+  const ServedRange before = session.frontend().Range(ds.features[3], 25.0);
+  EXPECT_EQ(session.frontend().CacheSize(), 1u);
 
   // Nudge one node's feature without re-clustering it.
   Feature f = net->feature(7);
   f[0] += 1e-6;
   session.UpdateFeatureAndPublish(7, f);
 
-  const EpochVector after = session.frontend().View()->epochs();
-  ASSERT_EQ(before.size(), after.size());
-  const int touched_root = net->clustering().root_of[7];
-  int bumped = 0;
-  for (size_t k = 0; k < after.size(); ++k) {
-    EXPECT_EQ(before[k].first, after[k].first);
-    if (after[k].second != before[k].second) {
-      ++bumped;
-      EXPECT_EQ(after[k].first, touched_root);
-    }
-  }
-  EXPECT_EQ(bumped, 1);
-  // The cached answer from the old signature can no longer be served.
-  EXPECT_NE(session.frontend().View()->epoch_signature(),
-            EpochSignature(before));
-}
-
-TEST(ServeFrontendTest, CacheDisabledStillAnswersCorrectly) {
-  const SensorDataset ds = SmallDs();
-  auto net = SmallNet(ds);
-  ServeFrontend::Options opt;
-  opt.enable_cache = false;
-  ServeSession session(net.get(), opt);
-  const ServedRange a = session.frontend().Range(ds.features[3], 25.0);
-  const ServedRange b = session.frontend().Range(ds.features[3], 25.0);
-  EXPECT_FALSE(a.from_cache);
-  EXPECT_FALSE(b.from_cache);
-  EXPECT_TRUE(a.answer == b.answer);
-  EXPECT_EQ(session.frontend().Counters().cache.hits, 0u);
+  // One cluster changed: one bump, one new view, and the cached answer from
+  // the old version is swept instead of served.
+  const ServeCounters c = session.frontend().Counters();
+  EXPECT_EQ(c.epoch_bumps, 1u);
+  EXPECT_EQ(c.views_built, 2u);
+  EXPECT_EQ(c.cache.invalidated, 1u);
+  EXPECT_EQ(session.frontend().View()->version(), v0 + 1);
+  EXPECT_EQ(session.frontend().CacheSize(), 0u);
+  const ServedRange after = session.frontend().Range(ds.features[3], 25.0);
+  EXPECT_FALSE(after.from_cache);
+  EXPECT_EQ(after.view_version, v0 + 1);
+  EXPECT_EQ(after.answer_version, v0 + 1);
+  EXPECT_TRUE(after.answer == before.answer);
 }
 
 // -- Workload ---------------------------------------------------------------

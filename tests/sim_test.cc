@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/churn.h"
 #include "sim/event_queue.h"
 #include "sim/graph.h"
 #include "sim/network.h"
@@ -528,6 +529,81 @@ TEST(NetworkTest, BroadcastMatchesIndependentSendsUnderFaultsAndChurn) {
       EXPECT_EQ(fan.churn_drops > 0, churn);
     }
   }
+}
+
+/// Compares the network's presence with the plan's absence intervals for
+/// every node: after every churn event (OnChurn fires last in
+/// ApplyChurnEvent) and whenever a probe node's churn callback asks.
+class PresenceAudit : public SimObserver {
+ public:
+  PresenceAudit(const Network* net, const ChurnPlan& plan)
+      : net_(net), reference_(plan, net->num_nodes()) {}
+
+  void Check(const char* where) {
+    ++checks;
+    for (int u = 0; u < net_->num_nodes(); ++u) {
+      EXPECT_EQ(net_->IsPresent(u), !reference_.IsAbsent(u, net_->Now()))
+          << where << ": node " << u << " at t=" << net_->Now();
+    }
+  }
+
+  void OnChurn(double now, const char* kind, int a, int b) override {
+    (void)now, (void)kind, (void)a, (void)b;
+    ++events;
+    Check("after a churn event");
+  }
+
+  int checks = 0;
+  int events = 0;
+
+ private:
+  const Network* net_;
+  ChurnSchedule reference_;
+};
+
+class PresenceProbeNode : public Node {
+ public:
+  explicit PresenceProbeNode(PresenceAudit* audit) : audit_(audit) {}
+  void HandleMessage(int, const Message&) override {}
+  void OnRestart() override { audit_->Check("OnRestart"); }
+  void OnNeighborChange(int, bool) override {
+    audit_->Check("OnNeighborChange");
+  }
+
+ private:
+  PresenceAudit* audit_;
+};
+
+TEST(NetworkTest, PresenceMaskFollowsEveryChurnEvent) {
+  ChurnPlan plan;
+  // Overlapping crash windows of one node: the repair at 20 leaves it
+  // absent until 30.
+  plan.crashes.push_back({1, 5.0, 20.0});
+  plan.crashes.push_back({1, 10.0, 30.0});
+  // A repair and a crash of one node at the same instant, alongside a
+  // crash of another node and a link change at that instant.
+  plan.crashes.push_back({2, 5.0, 15.0});
+  plan.crashes.push_back({2, 15.0, 25.0});
+  plan.crashes.push_back({6, 15.0, 40.0});
+  plan.link_changes.push_back({5, 9, 15.0, /*add=*/false});
+  // A late join and a leave.
+  plan.joins.push_back({3, 12.0});
+  plan.leaves.push_back({4, 18.0});
+
+  Network::Config cfg;
+  cfg.churn = plan;
+  Network net(MakeGridTopology(4, 4), cfg);
+  PresenceAudit audit(&net, plan);
+  net.set_observer(&audit);
+  net.InstallNodes(
+      [&audit](int) { return std::make_unique<PresenceProbeNode>(&audit); });
+  audit.Check("before the run");
+  net.Run();
+  EXPECT_EQ(audit.events, 13);
+  // Restarts and neighbor notifications checked in between as well.
+  EXPECT_GT(audit.checks, audit.events + 1);
+  EXPECT_DOUBLE_EQ(net.Now(), 40.0);
+  audit.Check("after the run");
 }
 
 TEST(MessageStatsTest, MergeAndReset) {
