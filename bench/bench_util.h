@@ -27,8 +27,18 @@
 #include "data/dataset.h"
 #include "index/backbone.h"
 #include "index/mtree.h"
+#include "metric/simd.h"
 #include "obs/run_report.h"
 #include "proto/wire.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+// The CMake build type the harness was compiled under (set per target).
+#ifndef ELINK_BENCH_BUILD_TYPE
+#define ELINK_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace elink {
 namespace bench {
@@ -172,6 +182,66 @@ inline std::optional<std::string> ReadWholeFile(const std::string& path) {
   if (!f) return std::nullopt;
   return std::string(std::istreambuf_iterator<char>(f),
                      std::istreambuf_iterator<char>());
+}
+
+/// The machine a microbenchmark ran on.  Throughput numbers only compare on
+/// like hardware, so every microbenchmark report carries this stamp; the
+/// `--check-against` readers ignore it.
+struct MachineStamp {
+  std::string cpu_model;  // CPUID brand string; "unknown" off x86.
+  unsigned vcpus = 0;     // Logical CPUs the process may see.
+  std::string simd;       // The dispatched distance-kernel level.
+  std::string compiler;
+  std::string build_type;
+
+  /// The stamp as the members of a flat JSON object, one per line, each
+  /// line starting with `indent` and ending in a comma.
+  std::string JsonMembers(const char* indent) const {
+    std::string out;
+    auto member = [&](const char* key, const std::string& json_value) {
+      out += std::string(indent) + "\"" + key + "\": " + json_value + ",\n";
+    };
+    auto text = [](const std::string& s) {
+      std::string quoted = "\"";
+      quoted += obs::JsonEscape(s);
+      quoted += '"';
+      return quoted;
+    };
+    member("cpu_model", text(cpu_model));
+    member("vcpus", std::to_string(vcpus));
+    member("simd", text(simd));
+    member("compiler", text(compiler));
+    member("build_type", text(build_type));
+    return out;
+  }
+};
+
+inline MachineStamp CurrentMachine() {
+  MachineStamp m;
+  m.cpu_model = "unknown";
+#if defined(__x86_64__) || defined(__i386__)
+  if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
+    unsigned int regs[12] = {};
+    for (unsigned int i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string s(brand);
+    const size_t b = s.find_first_not_of(' ');
+    if (b != std::string::npos) m.cpu_model = s.substr(b);
+  }
+#endif
+  m.vcpus = std::thread::hardware_concurrency();
+  m.simd = SimdLevelName(ActiveSimdLevel());
+#if defined(__GNUC__) && !defined(__clang__)
+  m.compiler = "GCC " __VERSION__;
+#else
+  m.compiler = __VERSION__;  // Clang's names the compiler itself.
+#endif
+  m.build_type = ELINK_BENCH_BUILD_TYPE;
+  return m;
 }
 
 /// Writes run reports as JSON lines (one RunReport object per line), the

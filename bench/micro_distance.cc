@@ -5,7 +5,8 @@
 //
 // Writes BENCH_distance.json (override with --out): for every (dim, batch)
 // cell, million distances per second through the scalar kernel and through
-// each SIMD level the host supports, plus the speedup of the best level.
+// each SIMD level the host supports, plus the speedup of the best level,
+// under the machine stamp (cpu_model, vcpus, simd, compiler, build_type).
 // Results are throughput-only — bit-identity of the kernels is asserted by
 // tests/simd_kernel_test.cc, not here (though this harness still verifies
 // checksum equality across paths as a cheap tripwire).
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
   const SimdLevel active = ActiveSimdLevel();
   std::printf("dispatched level: %s\n", SimdLevelName(active));
 
-  std::string json = "{\n  \"level\": \"";
+  std::string json = "{\n" + CurrentMachine().JsonMembers("  ");
+  json += "  \"level\": \"";
   json += SimdLevelName(active);
   json += "\",\n  \"cells\": [\n";
   bool first = true;

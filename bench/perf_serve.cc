@@ -21,6 +21,8 @@
 //                    per-stage medians: cache hits, and misses computed on
 //                    the pinned view, split by query kind
 //   cache_hit_rate   hits / (hits+misses) — must be > 0 on the skewed mix
+//   cpu_model, vcpus, simd, compiler, build_type
+//                    the machine stamp
 // plus the full serve counter ledger and log2 latency histograms in the
 // metrics section: serve.latency_us over every op, and
 // serve.latency_us.{hit,range_miss,path_miss} per stage.
@@ -285,6 +287,12 @@ int main(int argc, char** argv) {
   }
   report.SetParam("cache_hit_rate", run.hit_rate);
   report.SetParam("publishes", run.publishes);
+  const MachineStamp machine = CurrentMachine();
+  report.SetParam("cpu_model", machine.cpu_model);
+  report.SetParam("vcpus", static_cast<uint64_t>(machine.vcpus));
+  report.SetParam("simd", machine.simd);
+  report.SetParam("compiler", machine.compiler);
+  report.SetParam("build_type", machine.build_type);
   serve::ExportCounters(run.counters, "serve.", &report.metrics);
   for (double us : run.latencies_us) {
     report.metrics.RecordHistogram("serve.latency_us", us);

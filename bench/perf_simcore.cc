@@ -5,15 +5,16 @@
 //
 // Writes a small JSON report (BENCH_simcore.json by default, override with
 // --out or the ELINK_BENCH_JSON cache variable at configure time):
-//   events_per_sec           inline delivery flood: arena payloads dispatched
-//                            through the bulk bucket drain — the simulator's
-//                            real message hot path
-//   callback_events_per_sec  legacy closure flood (payload-carrying
-//                            callbacks through RunOne), kept for continuity
-//                            with pre-arena baselines
+//   events_per_sec           inline delivery flood: refcounted payloads
+//                            dispatched through the bulk bucket drain — the
+//                            simulator's real message hot path
+//   callback_events_per_sec  closure flood (payload-carrying callbacks
+//                            drained one event per RunAll(1)), kept for
+//                            continuity with earlier baselines
 //   sends_per_sec            Network broadcast storm on a 32x32 grid
 //   peak_queue_size          high-water mark of the queue during the flood
 //   peak_rss_kb              ru_maxrss after the floods (allocator footprint)
+// plus the machine stamp (cpu_model, vcpus, simd, compiler, build_type).
 //
 // `--events N` / `--sends N` scale the workload; the ctest smoke run uses
 // tiny counts so the harness is exercised on every test run.
@@ -43,7 +44,6 @@
 #include "proto/wire.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
-#include "sim/msg_arena.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
@@ -66,18 +66,23 @@ struct FloodOutcome {
   size_t peak_queue_size = 0;
 };
 
-/// Floods the queue with inline delivery events whose payloads live in a
-/// MessageArena — the exact shape of the Network's post-arena message path:
-/// POD enqueue, bucket-at-a-time drain, intrusive refcount release.  The
-/// handler re-schedules (AddRef + enqueue) at a constant hop delay, exactly
+/// One refcounted in-flight payload, the shape of a Network pool slot.
+struct FloodPayload {
+  Message msg;
+  uint32_t refs = 0;
+};
+
+/// Floods the queue with inline delivery events over one shared refcounted
+/// payload — the shape of the Network's message path: POD enqueue,
+/// bucket-at-a-time drain, refcount release.  The handler re-schedules
+/// (one more reference + enqueue) at a constant hop delay, exactly
 /// like the synchronous regime (Section 4: every hop takes one time unit),
 /// so whole rounds of deliveries land in shared buckets and drain through
 /// the bulk-synchronous fast path; the queue holds a steady few hundred
 /// in-flight deliveries throughout.
 struct DeliveryFloodCtx {
   EventQueue* q = nullptr;
-  MessageArena* arena = nullptr;
-  MessageArena::Slot* payload = nullptr;
+  FloodPayload* payload = nullptr;
   uint64_t fired = 0;       // Dispatched deliveries.
   uint64_t remaining = 0;   // Re-schedules still allowed.
   uint64_t accum = 0;       // Defeats dead-code elimination.
@@ -85,47 +90,46 @@ struct DeliveryFloodCtx {
 
 void OnFloodDelivery(void* ctx, int from, int to, void* payload) {
   auto* c = static_cast<DeliveryFloodCtx*>(ctx);
-  auto* slot = static_cast<MessageArena::Slot*>(payload);
-  c->accum += slot->msg.doubles.size() + static_cast<size_t>(from + to);
+  auto* p = static_cast<FloodPayload*>(payload);
+  c->accum += p->msg.doubles.size() + static_cast<size_t>(from + to);
   ++c->fired;
   if (c->remaining > 0) {
     --c->remaining;
-    MessageArena::AddRef(c->payload);
+    ++c->payload->refs;
     c->q->ScheduleDeliveryAfter(0.5, static_cast<int>(c->fired & 63),
                                 static_cast<int>(c->fired & 7), c->payload);
   }
-  c->arena->Release(slot);
+  --p->refs;
 }
 
 void OnFloodTimer(void*, int, int, uint64_t) {}
 
 FloodOutcome DeliveryFlood(uint64_t num_events) {
   EventQueue q;
-  MessageArena arena;
+  FloodPayload payload;
+  payload.msg.category = CategoryIdOf<"perf.flood">();
+  payload.msg.doubles = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
+  payload.refs = 1;
   DeliveryFloodCtx ctx;
   ctx.q = &q;
-  ctx.arena = &arena;
+  ctx.payload = &payload;
   q.SetInlineHandlers(&OnFloodDelivery, &OnFloodTimer, &ctx);
-  Message m;
-  m.category = CategoryIdOf<"perf.flood">();
-  m.doubles = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0};
-  ctx.payload = arena.Create(std::move(m));
   // Seed chains across a few "rounds" so several buckets are live at once.
   const int kChains = 256;
   ctx.remaining = num_events > static_cast<uint64_t>(kChains)
                       ? num_events - kChains
                       : 0;
   for (int i = 0; i < kChains; ++i) {
-    MessageArena::AddRef(ctx.payload);
+    ++payload.refs;
     q.ScheduleDeliveryAfter(static_cast<double>(i & 7) * 0.125, i, i & 7,
                             ctx.payload);
   }
   const auto t0 = std::chrono::steady_clock::now();
   q.RunAll(num_events);
   const auto t1 = std::chrono::steady_clock::now();
-  // Drain the tail beyond the cap so every scheduled payload is released.
+  // Drain the tail beyond the cap so every scheduled reference is dropped.
   q.RunAll();
-  arena.Release(ctx.payload);
+  ELINK_CHECK(payload.refs == 1);
   FloodOutcome out;
   out.events_per_sec = static_cast<double>(num_events) / Seconds(t0, t1);
   out.peak_queue_size = q.PeakSize();
@@ -133,16 +137,16 @@ FloodOutcome DeliveryFlood(uint64_t num_events) {
   return out;
 }
 
-/// Legacy flood: callbacks that carry a realistic payload (the pre-arena
-/// Network delivery closures captured a full Message), re-scheduling from
-/// inside a RunOne drain loop so the queue stays at a steady depth.
+/// Closure flood: callbacks that carry a realistic payload (the Network's
+/// delivery closures once captured a shared Message), re-scheduling after
+/// each one-event RunAll(1) so the queue stays at a steady depth.
 FloodOutcome EventFlood(uint64_t num_events) {
   EventQueue q;
   uint64_t fired = 0;
   size_t peak = 0;
-  // The closure mirrors the Network delivery closures on the hot path: a
+  // The closure mirrors the Network's old delivery closures: a
   // this-pointer-sized reference, two node ids, and a shared payload handle
-  // (~32 bytes of captures).
+  // (~32 bytes of captures, so std::function keeps it on the heap).
   const auto payload = std::make_shared<const Message>([] {
     Message m;
     m.category = CategoryIdOf<"perf.flood">();
@@ -162,7 +166,7 @@ FloodOutcome EventFlood(uint64_t num_events) {
   const auto t0 = std::chrono::steady_clock::now();
   uint64_t n = 0;
   while (n < num_events) {
-    if (!q.RunOne()) break;
+    if (q.RunAll(1) == 0) break;
     ++n;
     q.ScheduleAfter(0.5 + (n % 16) * 0.03125,
                     delivery(static_cast<int>(n % 64), static_cast<int>(n % 7)));
@@ -430,8 +434,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
+  const std::string machine = CurrentMachine().JsonMembers("  ");
   std::fprintf(f,
                "{\n"
+               "%s"
                "  \"events\": %llu,\n"
                "  \"sends\": %llu,\n"
                "  \"events_per_sec\": %.0f,\n"
@@ -440,7 +446,7 @@ int main(int argc, char** argv) {
                "  \"peak_queue_size\": %zu,\n"
                "  \"peak_rss_kb\": %zu\n"
                "}\n",
-               static_cast<unsigned long long>(num_events),
+               machine.c_str(), static_cast<unsigned long long>(num_events),
                static_cast<unsigned long long>(num_sends),
                flood.events_per_sec, legacy.events_per_sec, sends_per_sec,
                flood.peak_queue_size, peak_rss_kb);

@@ -1,6 +1,5 @@
 #include "cluster/clustering.h"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -8,6 +7,35 @@
 #include "common/strings.h"
 
 namespace elink {
+
+namespace {
+
+/// Components of the same-root subgraph (the edges whose endpoints share a
+/// cluster root), labelled in one pass: label[v] is the smallest id of v's
+/// component, -1 for unclustered nodes.  A cluster is connected exactly
+/// when all its members share one label.
+std::vector<int> SameRootComponents(const std::vector<int>& root_of,
+                                    const AdjacencyList& adjacency) {
+  const int n = static_cast<int>(adjacency.size());
+  std::vector<int> label(n, -1);
+  std::vector<int> queue;
+  for (int s = 0; s < n; ++s) {
+    if (root_of[s] < 0 || label[s] >= 0) continue;
+    label[s] = s;
+    queue.assign(1, s);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (int v : adjacency[queue[head]]) {
+        if (label[v] < 0 && root_of[v] == root_of[s]) {
+          label[v] = s;
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+  return label;
+}
+
+}  // namespace
 
 int Clustering::num_clusters() const {
   std::set<int> roots;
@@ -44,13 +72,15 @@ Status ValidateDeltaClustering(const Clustering& clustering,
           "root %d of node %zu is not a member of its own cluster", r, i));
     }
   }
+  const std::vector<int> label =
+      SameRootComponents(clustering.root_of, adjacency);
   for (const auto& [root, members] : clustering.Groups()) {
     // Connectivity of the induced subgraph.
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
-    if (!IsInducedConnected(adjacency, mask)) {
-      return Status::FailedPrecondition(
-          StringPrintf("cluster rooted at %d is disconnected", root));
+    for (int m : members) {
+      if (label[m] != label[members.front()]) {
+        return Status::FailedPrecondition(
+            StringPrintf("cluster rooted at %d is disconnected", root));
+      }
     }
     // Pairwise delta-compactness.
     for (size_t a = 0; a < members.size(); ++a) {
@@ -70,26 +100,24 @@ Status ValidateDeltaClustering(const Clustering& clustering,
 
 int RepairDisconnectedClusters(Clustering* clustering,
                                const AdjacencyList& adjacency) {
+  std::vector<int>& root_of = clustering->root_of;
+  const std::vector<int> label = SameRootComponents(root_of, adjacency);
+  // A component is stranded unless it holds its cluster's root; its
+  // smallest id (its label) becomes its new root.  Decided for every
+  // component before any node moves.
   const size_t n = adjacency.size();
+  std::vector<char> stranded(n, 0);
   int created = 0;
-  for (const auto& [root, members] : clustering->Groups()) {
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
-    const std::vector<int> comp = InducedComponents(adjacency, mask);
-    const int root_comp = comp[root];
-    // Smallest member id per non-root component becomes its new root.
-    std::map<int, int> new_root_of_comp;
-    for (int m : members) {
-      if (comp[m] == root_comp) continue;
-      auto [it, inserted] = new_root_of_comp.emplace(comp[m], m);
-      if (!inserted) it->second = std::min(it->second, m);
+  for (size_t s = 0; s < n; ++s) {
+    if (label[s] != static_cast<int>(s)) continue;
+    const int root = root_of[s];
+    if (root_of[root] != root || label[root] != label[s]) {
+      stranded[s] = 1;
+      ++created;
     }
-    created += static_cast<int>(new_root_of_comp.size());
-    for (int m : members) {
-      if (comp[m] != root_comp) {
-        clustering->root_of[m] = new_root_of_comp[comp[m]];
-      }
-    }
+  }
+  for (size_t m = 0; m < n; ++m) {
+    if (label[m] >= 0 && stranded[label[m]]) root_of[m] = label[m];
   }
   return created;
 }
@@ -99,8 +127,6 @@ std::vector<int> BuildClusterTrees(const Clustering& clustering,
   const size_t n = adjacency.size();
   std::vector<int> parent(n, -1);
   for (const auto& [root, members] : clustering.Groups()) {
-    std::vector<char> mask(n, 0);
-    for (int m : members) mask[m] = 1;
     // BFS from the root restricted to cluster members.
     std::deque<int> queue{root};
     parent[root] = root;
@@ -108,7 +134,7 @@ std::vector<int> BuildClusterTrees(const Clustering& clustering,
       const int u = queue.front();
       queue.pop_front();
       for (int v : adjacency[u]) {
-        if (mask[v] && parent[v] < 0) {
+        if (clustering.root_of[v] == root && parent[v] < 0) {
           parent[v] = u;
           queue.push_back(v);
         }

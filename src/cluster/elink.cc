@@ -310,8 +310,12 @@ Result<ElinkResult> RunElink(const Topology& topology,
   if (features.size() != static_cast<size_t>(n)) {
     return Status::InvalidArgument("features size mismatch");
   }
-  if (config.delta < 0) {
+  // Negated comparisons, so a NaN fails them too.
+  if (!(config.delta >= 0)) {
     return Status::InvalidArgument("delta must be non-negative");
+  }
+  if (!(config.slack >= 0)) {
+    return Status::InvalidArgument("slack must be non-negative");
   }
   if (config.delta - 2.0 * config.slack < 0) {
     return Status::InvalidArgument("slack too large: delta - 2*slack < 0");

@@ -100,6 +100,12 @@ Result<SensorDataset> MakeTerrainDataset(const TerrainConfig& config) {
   if (config.max_elevation <= config.min_elevation) {
     return Status::InvalidArgument("elevation range is empty");
   }
+  if (config.heightmap_exponent < 1 || config.heightmap_exponent > 12) {
+    return Status::InvalidArgument("heightmap_exponent must be in [1, 12]");
+  }
+  if (!(config.roughness > 0.0 && config.roughness < 1.0)) {
+    return Status::InvalidArgument("roughness must be in (0, 1)");
+  }
   Rng rng(config.seed);
   Heightmap hm =
       Heightmap::DiamondSquare(config.heightmap_exponent, config.roughness,

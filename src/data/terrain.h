@@ -22,7 +22,7 @@ namespace elink {
 struct TerrainConfig {
   /// Number of scattered sensors (paper: 2500).
   int num_nodes = 2500;
-  /// Heightmap resolution exponent: the raster is (2^k + 1)^2.
+  /// Heightmap resolution exponent in [1, 12]: the raster is (2^k + 1)^2.
   int heightmap_exponent = 7;
   /// Diamond-square roughness in (0, 1); higher is more rugged.
   double roughness = 0.55;

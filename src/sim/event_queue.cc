@@ -17,21 +17,21 @@ inline uint64_t HashBits(uint64_t x) {
 }
 
 constexpr size_t kInitialTableSize = 16;  // power of two
-constexpr uint32_t kMaxSlots = 0xFFFFFFFFu;
 
 }  // namespace
 
-uint32_t EventQueue::AllocSlot() {
-  if (free_slots_.empty()) {
-    ELINK_CHECK(slots_in_use_ < kMaxSlots);
-    if ((slots_in_use_ >> kSlotChunkShift) >= slot_chunks_.size()) {
-      slot_chunks_.push_back(std::make_unique<Callback[]>(kSlotChunkSize));
-    }
-    return slots_in_use_++;
+void EventQueue::ScheduleAt(double time, Callback cb) {
+  ELINK_CHECK(time >= now_);
+  uint32_t slot;
+  if (free_callbacks_.empty()) {
+    slot = static_cast<uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(cb);
   }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  return slot;
+  Enqueue(TimeBits(time), Item{kKindCallback << kKindShift, slot, 0});
 }
 
 void EventQueue::Enqueue(uint64_t time_bits, Item item) {
@@ -146,14 +146,15 @@ void EventQueue::SiftDown(size_t i) {
 void EventQueue::Dispatch(const Item& item) {
   switch (item.a >> kKindShift) {
     case kKindCallback: {
-      // Invoked *in place*: slot chunks never move, so reentrant scheduling
-      // from inside the closure cannot invalidate it.  InvokeOnce fuses the
-      // call with the closure's destruction.  Generic callbacks are genesis
+      // Moved out and its slot freed before the call: the closure may
+      // schedule, and so grow callbacks_, without moving itself.  The slot
+      // is emptied explicitly (a moved-from std::function is unspecified),
+      // so the captures die with this call.  Generic callbacks are genesis
       // events causally — they come from driver code, not a handler.
       active_cause_ = 0;
-      const uint32_t slot = item.b;
-      SlotRef(slot).InvokeOnce();
-      free_slots_.push_back(slot);
+      Callback cb = std::exchange(callbacks_[item.b], nullptr);
+      free_callbacks_.push_back(item.b);
+      cb();
       break;
     }
     case kKindDelivery:
@@ -181,29 +182,12 @@ void EventQueue::RetireFrontBucket(uint64_t time_bits, uint32_t bucket) {
   if (!heap_.empty()) SiftDown(0);
 }
 
-bool EventQueue::RunOne() {
-  if (size_ == 0) return false;
-  const TimeEntry top = heap_.front();
-  Bucket& bk = buckets_[top.bucket];
-  const Item item = bk.items[bk.cursor++];
-  --size_;
-  if (bk.cursor == bk.items.size()) {
-    // Timestamp exhausted: retire the bucket *before* dispatch, so a callback
-    // scheduling at exactly Now() opens a fresh bucket (which sorts ahead of
-    // every strictly-later pending time, preserving (time, seq) order).
-    RetireFrontBucket(top.time_bits, top.bucket);
-  }
-  now_ = TimeFromBits(top.time_bits);
-  Dispatch(item);
-  return true;
-}
-
 uint64_t EventQueue::RunAll(uint64_t max_events) {
   // Bulk-synchronous drain: resolve the front bucket once per distinct
   // timestamp and sweep its FIFO.  Dispatch can append to the *current*
   // bucket (a callback scheduling at exactly Now()): the size is re-read
   // every iteration and append order is (time, seq) order, so such events
-  // fire in this same sweep, exactly as the one-at-a-time path would.
+  // fire in this same sweep.
   // Dispatch can also grow buckets_/heap_ (scheduling at new timestamps),
   // so the bucket is re-resolved by index after every dispatch.
   uint64_t n = 0;
@@ -225,34 +209,6 @@ uint64_t EventQueue::RunAll(uint64_t max_events) {
       Dispatch(item);
     }
   }
-  return n;
-}
-
-uint64_t EventQueue::RunUntil(double until) {
-  const uint64_t until_bits = TimeBits(until);
-  uint64_t n = 0;
-  while (size_ != 0 && heap_.front().time_bits <= until_bits) {
-    // Same bucket-at-a-time drain as RunAll; the horizon check happens once
-    // per distinct timestamp, not once per event.
-    const TimeEntry top = heap_.front();
-    now_ = TimeFromBits(top.time_bits);
-    for (;;) {
-      Bucket& bk = buckets_[top.bucket];
-      const uint32_t cursor = bk.cursor;
-      if (cursor >= bk.items.size()) {
-        RetireFrontBucket(top.time_bits, top.bucket);
-        break;
-      }
-      bk.cursor = cursor + 1;
-      const Item item = bk.items[cursor];
-      --size_;
-      ++n;
-      Dispatch(item);
-    }
-  }
-  // Advance to the horizon: the caller simulated "up to `until`", so that is
-  // the current time even when the last event fired earlier (or none did).
-  if (until > now_) now_ = until;
   return n;
 }
 

@@ -4,9 +4,7 @@
 // insertion order, which makes every simulation run bit-reproducible for a
 // given seed regardless of container iteration quirks.
 //
-// Hot-path layout, replacing the std::priority_queue<Event> of the original
-// implementation (whose const& top() forced a deep copy of the callback and
-// any captured payload on every dispatch):
+// Hot-path layout:
 //
 //  * Events are grouped into FIFO buckets by *distinct* timestamp.  The
 //    simulator's dominant regimes — synchronous unit hop delays, integer
@@ -27,33 +25,32 @@
 //    (endpoints plus a payload pointer / generation) and dispatched through
 //    a handler installed once by the Network: no closure is constructed,
 //    moved, or destroyed for them at all.  Everything else is a generic
-//    callback: a UniqueFunction (move-only, ~48 bytes inline) parked in a
-//    chunk-stable slot arena, constructed in place at schedule time and
-//    invoked *in place* at dispatch (chunks never move, so reentrant
-//    scheduling cannot invalidate the executing closure).
-//  * RunAll/RunUntil drain bucket-at-a-time: the front bucket is resolved
-//    once per distinct timestamp and its FIFO is swept in a tight loop —
-//    the bulk-synchronous fast path.  In synchronous-round mode every
-//    delivery of a round lands in one bucket, so a whole round dispatches
-//    with a single heap pop at its end and no per-event heap traffic.
+//    callback: a std::function in a slot of a plain vector, recycled via a
+//    free list.  Dispatch moves the callback out of its slot and frees the
+//    slot before calling it, so a callback may schedule (and grow the
+//    vector) freely.
+//  * RunAll drains bucket-at-a-time: the front bucket is resolved once per
+//    distinct timestamp and its FIFO is swept in a tight loop — the
+//    bulk-synchronous fast path.  In synchronous-round mode every delivery
+//    of a round lands in one bucket, so a whole round dispatches with a
+//    single heap pop at its end and no per-event heap traffic.
 #ifndef ELINK_SIM_EVENT_QUEUE_H_
 #define ELINK_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "common/unique_function.h"
 
 namespace elink {
 
 /// \brief Priority queue of timestamped callbacks and inline POD events.
 class EventQueue {
  public:
-  using Callback = UniqueFunction;
+  using Callback = std::function<void()>;
 
   /// Handler for inline delivery events (installed once by the Network).
   using DeliveryHandler = void (*)(void* ctx, int from, int to, void* payload);
@@ -73,22 +70,13 @@ class EventQueue {
     handler_ctx_ = ctx;
   }
 
-  /// Schedules `f` to run at absolute time `time` (must be >= Now()).
-  /// Accepts any void() callable, including move-only closures; the closure
-  /// is constructed in place in the queue's arena.
-  template <typename F>
-  void ScheduleAt(double time, F&& f) {
-    ELINK_CHECK(time >= now_);
-    const uint32_t slot = AllocSlot();
-    SlotRef(slot) = std::forward<F>(f);
-    Enqueue(TimeBits(time), Item{kKindCallback << kKindShift, slot, 0});
-  }
+  /// Schedules `cb` to run at absolute time `time` (must be >= Now()).
+  void ScheduleAt(double time, Callback cb);
 
-  /// Schedules `f` to run `delay` from now (delay >= 0).
-  template <typename F>
-  void ScheduleAfter(double delay, F&& f) {
+  /// Schedules `cb` to run `delay` from now (delay >= 0).
+  void ScheduleAfter(double delay, Callback cb) {
     ELINK_CHECK(delay >= 0.0);
-    ScheduleAt(now_ + delay, std::forward<F>(f));
+    ScheduleAt(now_ + delay, std::move(cb));
   }
 
   /// Schedules an inline delivery event: at `delay` from now the installed
@@ -111,9 +99,7 @@ class EventQueue {
                  static_cast<uint32_t>(timer_id), aux});
   }
 
-  /// Current simulated time.  Advances to each event's timestamp as it is
-  /// dispatched; RunUntil additionally advances it to the horizon (see
-  /// there).
+  /// Current simulated time: the timestamp of the event dispatched last.
   double Now() const { return now_; }
 
   bool Empty() const { return size_ == 0; }
@@ -131,20 +117,12 @@ class EventQueue {
   uint64_t active_cause() const { return active_cause_; }
   void set_active_cause(uint64_t cause) { active_cause_ = cause; }
 
-  /// Dispatches the next event; returns false when the queue is empty.
-  bool RunOne();
-
   /// Runs events until the queue empties or `max_events` dispatches,
-  /// draining bucket-at-a-time (the bulk-synchronous fast path).
-  /// Returns the number of events dispatched.
+  /// draining bucket-at-a-time (the bulk-synchronous fast path).  Resumable
+  /// mid-timestamp: a capped drain leaves the rest of the front bucket in
+  /// place, so splitting one drain into several is unobservable.  Returns
+  /// the number of events dispatched.
   uint64_t RunAll(uint64_t max_events = UINT64_MAX);
-
-  /// Runs all events with time <= `until`, then advances Now() to `until`
-  /// even when the queue drained early (if `until` is in the future), so a
-  /// subsequent ScheduleAfter is relative to the simulated horizon the
-  /// caller just ran to, not to whenever the last event happened to fire.
-  /// Returns the dispatched count.
-  uint64_t RunUntil(double until);
 
  private:
   // Item kinds, stored in the top bits of Item::a.  Node ids therefore top
@@ -156,7 +134,7 @@ class EventQueue {
   static constexpr uint32_t kArgMask = (1u << kKindShift) - 1;
 
   /// One scheduled event, 16 bytes, trivially copyable.
-  ///  kind == callback: b is the slot of the parked UniqueFunction.
+  ///  kind == callback: b is the slot of the parked callback.
   ///  kind == delivery: a&mask = from, b = to, c = payload pointer.
   ///  kind == timer:    a&mask = node, b = timer id, c = restart generation.
   struct Item {
@@ -203,21 +181,6 @@ class EventQueue {
     return time;
   }
 
-  // Callback slots live in fixed-size chunks so their addresses are stable
-  // across arena growth: a closure can be invoked in place even when it
-  // schedules (and thereby allocates) reentrantly.
-  static constexpr uint32_t kSlotChunkShift = 8;
-  static constexpr uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
-
-  Callback& SlotRef(uint32_t slot) {
-    return slot_chunks_[slot >> kSlotChunkShift]
-                       [slot & (kSlotChunkSize - 1)];
-  }
-
-  /// Claims an arena slot for the caller to fill.  Out-of-line together
-  /// with Enqueue so the template schedule entry points stay tiny.
-  uint32_t AllocSlot();
-
   /// Appends `item` to the bucket for `time_bits`, creating the bucket (and
   /// its time-heap entry) on first use of that timestamp.
   void Enqueue(uint64_t time_bits, Item item);
@@ -256,11 +219,9 @@ class EventQueue {
   // initial value is a NaN bit pattern, which no schedulable time equals.
   uint64_t memo_time_bits_ = ~0ULL;
   uint32_t memo_bucket_ = 0;
-  // Chunk-stable callback arena addressed by slot index, recycled via a
-  // free list.
-  std::vector<std::unique_ptr<Callback[]>> slot_chunks_;
-  uint32_t slots_in_use_ = 0;  // High-water mark of allocated slot indices.
-  std::vector<uint32_t> free_slots_;
+  // Pending generic callbacks by slot, recycled via a free list.
+  std::vector<Callback> callbacks_;
+  std::vector<uint32_t> free_callbacks_;
   DeliveryHandler on_delivery_ = nullptr;
   TimerHandler on_timer_ = nullptr;
   void* handler_ctx_ = nullptr;

@@ -32,6 +32,10 @@ inline uint64_t FrameBytes(const Message& msg) {
   return static_cast<uint64_t>(wire::FrameSize(msg));
 }
 
+// The paper's asynchronous per-hop delay interval (Section 5).
+constexpr double kAsyncDelayMin = 0.5;
+constexpr double kAsyncDelayMax = 1.5;
+
 }  // namespace
 
 Network::Network(Topology topology, Config config)
@@ -43,8 +47,6 @@ Network::Network(Topology topology, Config config)
       restart_gen_(topology_.num_nodes(), 0),
       nodes_(topology_.num_nodes()),
       routes_(topology_.num_nodes()) {
-  ELINK_CHECK(config_.async_delay_min > 0.0);
-  ELINK_CHECK(config_.async_delay_max >= config_.async_delay_min);
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
                            this);
   if (churn_.enabled()) {
@@ -176,7 +178,7 @@ void Network::InstallNodes(
 
 double Network::NextHopDelay() {
   if (config_.synchronous) return 1.0;
-  return rng_.Uniform(config_.async_delay_min, config_.async_delay_max);
+  return rng_.Uniform(kAsyncDelayMin, kAsyncDelayMax);
 }
 
 std::optional<Message> Network::Truncated(const Message& msg) {
@@ -248,24 +250,42 @@ void Network::Send(int from, int to, Message msg) {
   }
 }
 
+Network::Payload* Network::NewPayload(Message&& msg, uint64_t msg_id) {
+  if (free_payloads_.empty()) {
+    payloads_.push_back(Payload{std::move(msg), 1, msg_id});
+    return &payloads_.back();
+  }
+  Payload* p = free_payloads_.back();
+  free_payloads_.pop_back();
+  p->msg = std::move(msg);
+  p->refs = 1;
+  p->msg_id = msg_id;
+  return p;
+}
+
+void Network::ReleasePayload(Payload* p) {
+  if (--p->refs != 0) return;
+  p->msg = Message();
+  free_payloads_.push_back(p);
+}
+
 void Network::ScheduleDelivery(double delay, int from, int to, Message&& msg,
                                uint64_t msg_id) {
-  MessageArena::Slot* slot = arena_.Create(std::move(msg));
-  slot->msg_id = msg_id;
-  queue_.ScheduleDeliveryAfter(delay, from, to, slot);
+  queue_.ScheduleDeliveryAfter(delay, from, to,
+                               NewPayload(std::move(msg), msg_id));
 }
 
 void Network::OnDeliveryEvent(void* ctx, int from, int to, void* payload) {
   Network* net = static_cast<Network*>(ctx);
-  auto* slot = static_cast<MessageArena::Slot*>(payload);
+  auto* p = static_cast<Payload*>(payload);
   if (net->observer_ != nullptr) {
     const uint64_t self = net->NewCauseId();
     net->queue_.set_active_cause(self);
-    net->observer_->OnCausal({self, slot->msg_id, 0});
-    net->observer_->OnDeliver(net->Now(), from, to, slot->msg);
+    net->observer_->OnCausal({self, p->msg_id, 0});
+    net->observer_->OnDeliver(net->Now(), from, to, p->msg);
   }
-  net->nodes_[to]->HandleMessage(from, slot->msg);
-  net->arena_.Release(slot);
+  net->nodes_[to]->HandleMessage(from, p->msg);
+  net->ReleasePayload(p);
 }
 
 void Network::OnTimerEvent(void* ctx, int node, int timer_id, uint64_t aux) {
@@ -306,8 +326,8 @@ void Network::Broadcast(int from, Message msg) {
   if (nbrs.empty()) return;
   // One immutable payload shared by every fan-out leg; receivers get a
   // const& into it, so nothing is copied per neighbor.
-  MessageArena::Slot* shared = arena_.Create(std::move(msg));
-  if (observer_ != nullptr) shared->msg_id = NewCauseId();
+  Payload* shared =
+      NewPayload(std::move(msg), observer_ != nullptr ? NewCauseId() : 0);
   const uint64_t frame_bytes = FrameBytes(shared->msg);
   for (int nb : nbrs) {
     ELINK_CHECK(nodes_[nb] != nullptr);
@@ -326,13 +346,13 @@ void Network::Broadcast(int from, Message msg) {
       // pair stays unique across legs either way.
       ScheduleDelivery(delay, from, nb, std::move(*chopped), shared->msg_id);
     } else {
-      MessageArena::AddRef(shared);
+      ++shared->refs;
       queue_.ScheduleDeliveryAfter(delay, from, nb, shared);
     }
   }
   // Drop the creator's reference; the payload now lives exactly as long as
   // its last scheduled delivery (or dies here if every leg dropped).
-  arena_.Release(shared);
+  ReleasePayload(shared);
 }
 
 void Network::InvalidateRoutes() {

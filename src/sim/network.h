@@ -3,11 +3,12 @@
 //
 // Two delay regimes model the paper's two settings:
 //  * synchronous  — every hop takes exactly one time unit (Section 4);
-//  * asynchronous — per-hop delays are drawn uniformly from a configured
-//    interval (Section 5), so message orderings can interleave arbitrarily.
+//  * asynchronous — per-hop delays are drawn uniformly from U(0.5, 1.5)
+//    (Section 5), so message orderings can interleave arbitrarily.
 #ifndef ELINK_SIM_NETWORK_H_
 #define ELINK_SIM_NETWORK_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -20,7 +21,6 @@
 #include "sim/fault.h"
 #include "sim/graph.h"
 #include "sim/message.h"
-#include "sim/msg_arena.h"
 #include "sim/observer.h"
 #include "sim/stats.h"
 #include "sim/topology.h"
@@ -89,10 +89,8 @@ class Node {
 class Network {
  public:
   struct Config {
-    /// Synchronous: one time unit per hop.  Asynchronous: U(min, max).
+    /// Synchronous: one time unit per hop.  Asynchronous: U(0.5, 1.5).
     bool synchronous = true;
-    double async_delay_min = 0.5;
-    double async_delay_max = 1.5;
     uint64_t seed = 1;
     /// Fault model of the run (message loss, link outages, node crashes).
     /// The default plan is inert: delivery is perfectly reliable and the run
@@ -160,8 +158,7 @@ class Network {
   /// Schedules HandleTimer(timer_id) on node `id` after `delay`.
   void SetTimer(int id, double delay, int timer_id);
 
-  /// Schedules an arbitrary callback (driver code, not charged).  Accepts
-  /// any void() callable, including move-only closures.
+  /// Schedules an arbitrary callback, run outside any node and not charged.
   void ScheduleAfter(double delay, EventQueue::Callback cb);
 
   double Now() const { return queue_.Now(); }
@@ -208,8 +205,11 @@ class Network {
   bool hit_event_cap() const { return hit_event_cap_; }
 
   Node* node(int id) { return nodes_[id].get(); }
-  /// The payload arena (exposed for tests/diagnostics).
-  const MessageArena& arena() const { return arena_; }
+  /// Payloads of scheduled deliveries not yet dispatched (a broadcast's
+  /// legs share one).  Zero once a run drains.
+  size_t payloads_in_flight() const {
+    return payloads_.size() - free_payloads_.size();
+  }
   MessageStats& stats() { return stats_; }
   const MessageStats& stats() const { return stats_; }
 
@@ -242,6 +242,22 @@ class Network {
   }
 
  private:
+  /// One in-flight message, shared by every scheduled delivery of it.
+  /// `refs` counts those deliveries plus the creator's transient reference;
+  /// `msg_id` is the causal-trace message id (0 when no observer is
+  /// attached), so every delivery of a shared payload reports the same id.
+  struct Payload {
+    Message msg;
+    uint32_t refs = 0;
+    uint64_t msg_id = 0;
+  };
+
+  /// Moves `msg` into a pool slot holding one reference, the caller's.
+  Payload* NewPayload(Message&& msg, uint64_t msg_id);
+  /// Drops one reference; the last resets the message (freeing its
+  /// vectors) and returns the slot to the free list.
+  void ReleasePayload(Payload* p);
+
   double NextHopDelay();
   /// The routing BFS towards `to`, expanded until `from` is discovered (or
   /// found unreachable).  Its parents are the next hops towards `to`.
@@ -276,8 +292,9 @@ class Network {
                    double hop_delay, uint64_t frame_bytes, uint64_t msg_id,
                    bool relay);
   /// Schedules the final delivery of `msg` (already charged and fault-
-  /// cleared) as an inline arena-backed POD event.  `msg_id` rides along so
-  /// the delivery can report which traced message it completes.
+  /// cleared) as an inline POD event over a fresh pool payload.  `msg_id`
+  /// rides along so the delivery can report which traced message it
+  /// completes.
   void ScheduleDelivery(double delay, int from, int to, Message&& msg,
                         uint64_t msg_id);
   /// Inline-event trampolines installed into the EventQueue.
@@ -293,7 +310,12 @@ class Network {
   Topology topology_;
   Config config_;
   EventQueue queue_;
-  MessageArena arena_;
+  // The payload pool.  A deque never moves an element when it grows, so a
+  // handler that sends from inside HandleMessage keeps a valid reference to
+  // the payload it is reading; released slots are reused via the free list
+  // and whatever is still in flight dies with the deque.
+  std::deque<Payload> payloads_;
+  std::vector<Payload*> free_payloads_;
   Rng rng_;
   FaultInjector fault_;
   ChurnSchedule churn_;

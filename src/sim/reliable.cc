@@ -38,7 +38,7 @@ void ReliableChannel::Enqueue(int to, bool routed, Message msg) {
   Dispatch(to, routed, p.msg);
   pending_.emplace(seq, std::move(p));
   network_->SetTimer(self_, config_.rto,
-                     config_.timer_id_base + static_cast<int>(seq));
+                     kTimerIdBase + static_cast<int>(seq));
 }
 
 void ReliableChannel::Send(int to, Message msg) {
@@ -80,8 +80,8 @@ bool ReliableChannel::OnMessage(int from, const Message& msg) {
 }
 
 bool ReliableChannel::OnTimer(int timer_id) {
-  if (timer_id < config_.timer_id_base) return false;
-  const long long seq = timer_id - config_.timer_id_base;
+  if (timer_id < kTimerIdBase) return false;
+  const long long seq = timer_id - kTimerIdBase;
   auto it = pending_.find(seq);
   if (it == pending_.end()) return true;  // Acked; deadline is stale.
   Pending& p = it->second;

@@ -37,10 +37,11 @@ class ReliableChannel {
     double backoff = 2.0;
     /// Retransmissions attempted after the initial send before giving up.
     int max_retries = 5;
-    /// HandleTimer ids at or above this value belong to the channel; must
-    /// not collide with the owning protocol's own timer ids.
-    int timer_id_base = 1 << 20;
   };
+
+  /// HandleTimer ids at or above this value belong to the channel; the
+  /// owning protocol's own timer ids stay below it.
+  static constexpr int kTimerIdBase = 1 << 20;
 
   /// Invoked when a message exhausts its retry budget (the destination is
   /// unreachable or dead).  The protocol decides what the loss means.

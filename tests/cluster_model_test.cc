@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
+#include <map>
 #include <set>
 
 #include "cluster/clustering.h"
 #include "cluster/quadtree.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "metric/distance.h"
 #include "sim/topology.h"
 
@@ -126,6 +129,179 @@ TEST(ClusterTreesTest, TreesSpanClustersAndRespectEdges) {
       EXPECT_EQ(cur, c.root_of[i]);
     }
   }
+}
+
+// -- One pass per clustering vs the per-cluster mask references ---------------
+
+// The per-cluster N-wide mask implementations that the one-pass labelling
+// replaced, kept verbatim as references.
+Status ReferenceValidate(const Clustering& clustering,
+                         const AdjacencyList& adjacency,
+                         const std::vector<Feature>& features,
+                         const DistanceMetric& metric, double delta) {
+  const size_t n = adjacency.size();
+  if (clustering.root_of.size() != n) {
+    return Status::FailedPrecondition("clustering size mismatch");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const int r = clustering.root_of[i];
+    if (r < 0 || static_cast<size_t>(r) >= n) {
+      return Status::FailedPrecondition(
+          StringPrintf("node %zu unclustered or root out of range", i));
+    }
+    if (clustering.root_of[r] != r) {
+      return Status::FailedPrecondition(StringPrintf(
+          "root %d of node %zu is not a member of its own cluster", r, i));
+    }
+  }
+  for (const auto& [root, members] : clustering.Groups()) {
+    std::vector<char> mask(n, 0);
+    for (int m : members) mask[m] = 1;
+    if (!IsInducedConnected(adjacency, mask)) {
+      return Status::FailedPrecondition(
+          StringPrintf("cluster rooted at %d is disconnected", root));
+    }
+    for (size_t a = 0; a < members.size(); ++a) {
+      for (size_t b = a + 1; b < members.size(); ++b) {
+        const double d =
+            metric.Distance(features[members[a]], features[members[b]]);
+        if (d > delta + 1e-9) {
+          return Status::FailedPrecondition(StringPrintf(
+              "cluster rooted at %d violates delta: d(%d, %d) = %.6f > %.6f",
+              root, members[a], members[b], d, delta));
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+int ReferenceRepair(Clustering* clustering, const AdjacencyList& adjacency) {
+  const size_t n = adjacency.size();
+  int created = 0;
+  for (const auto& [root, members] : clustering->Groups()) {
+    std::vector<char> mask(n, 0);
+    for (int m : members) mask[m] = 1;
+    const std::vector<int> comp = InducedComponents(adjacency, mask);
+    const int root_comp = comp[root];
+    std::map<int, int> new_root_of_comp;
+    for (int m : members) {
+      if (comp[m] == root_comp) continue;
+      auto [it, inserted] = new_root_of_comp.emplace(comp[m], m);
+      if (!inserted) it->second = std::min(it->second, m);
+    }
+    created += static_cast<int>(new_root_of_comp.size());
+    for (int m : members) {
+      if (comp[m] != root_comp) {
+        clustering->root_of[m] = new_root_of_comp[comp[m]];
+      }
+    }
+  }
+  return created;
+}
+
+std::vector<int> ReferenceTrees(const Clustering& clustering,
+                                const AdjacencyList& adjacency) {
+  const size_t n = adjacency.size();
+  std::vector<int> parent(n, -1);
+  for (const auto& [root, members] : clustering.Groups()) {
+    std::vector<char> mask(n, 0);
+    for (int m : members) mask[m] = 1;
+    std::deque<int> queue{root};
+    parent[root] = root;
+    while (!queue.empty()) {
+      const int u = queue.front();
+      queue.pop_front();
+      for (int v : adjacency[u]) {
+        if (mask[v] && parent[v] < 0) {
+          parent[v] = u;
+          queue.push_back(v);
+        }
+      }
+    }
+  }
+  return parent;
+}
+
+/// A random clustering of `n` nodes: BFS-grown connected clusters, then a
+/// share of nodes moved to a random other cluster (stranding fragments),
+/// and sometimes a root demoted so it leaves its own cluster.
+Clustering RandomClustering(const AdjacencyList& adj, Rng* rng) {
+  const int n = static_cast<int>(adj.size());
+  Clustering c;
+  c.root_of.assign(n, -1);
+  std::vector<int> roots;
+  for (int start = 0; start < n; ++start) {
+    if (c.root_of[start] >= 0) continue;
+    roots.push_back(start);
+    const size_t cap = 1 + rng->UniformInt(12);
+    std::vector<int> grown{start};
+    c.root_of[start] = start;
+    for (size_t h = 0; h < grown.size() && grown.size() < cap; ++h) {
+      for (int v : adj[grown[h]]) {
+        if (c.root_of[v] < 0 && grown.size() < cap) {
+          c.root_of[v] = start;
+          grown.push_back(v);
+        }
+      }
+    }
+  }
+  const uint64_t moves = rng->UniformInt(1 + n / 4);
+  for (uint64_t k = 0; k < moves; ++k) {
+    const int v = static_cast<int>(rng->UniformInt(n));
+    if (c.root_of[v] == v) continue;
+    c.root_of[v] = roots[rng->UniformInt(roots.size())];
+  }
+  if (rng->UniformInt(8) == 0) {
+    const int r = roots[rng->UniformInt(roots.size())];
+    const int other = roots[rng->UniformInt(roots.size())];
+    if (other != r) c.root_of[r] = other;
+  }
+  return c;
+}
+
+TEST(ClusteringDiffTest, OnePassMatchesPerMaskReferences) {
+  Rng rng(4242);
+  int disconnected = 0, delta_violations = 0, valid = 0, rootless = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformInt(120));
+    Result<Topology> t = MakeRandomTopology(n, 10.0, 1.5 + rng.Uniform(0, 2),
+                                            &rng, /*force_connectivity=*/
+                                            rng.UniformInt(2) == 0);
+    ASSERT_TRUE(t.ok());
+    const AdjacencyList& adj = t.value().adjacency;
+    std::vector<Feature> f(n);
+    for (Feature& x : f) x = {rng.Uniform(0, 10)};
+    const double delta = rng.Uniform(0, 12);
+    const Clustering c = RandomClustering(adj, &rng);
+
+    const Status got = ValidateDeltaClustering(c, adj, f, OneDim(), delta);
+    const Status want = ReferenceValidate(c, adj, f, OneDim(), delta);
+    ASSERT_EQ(got.ToString(), want.ToString()) << "trial " << trial;
+    const std::string msg = got.ToString();
+    disconnected += msg.find("disconnected") != std::string::npos;
+    delta_violations += msg.find("violates delta") != std::string::npos;
+    rootless += msg.find("own cluster") != std::string::npos;
+    valid += got.ok();
+
+    // Trees over unrepaired clusters too: stranded members keep parent -1.
+    ASSERT_EQ(BuildClusterTrees(c, adj), ReferenceTrees(c, adj))
+        << "trial " << trial;
+
+    Clustering repaired = c, reference = c;
+    ASSERT_EQ(RepairDisconnectedClusters(&repaired, adj),
+              ReferenceRepair(&reference, adj))
+        << "trial " << trial;
+    ASSERT_EQ(repaired.root_of, reference.root_of) << "trial " << trial;
+    ASSERT_EQ(BuildClusterTrees(repaired, adj),
+              ReferenceTrees(repaired, adj))
+        << "trial " << trial;
+  }
+  // Every branch of the comparison was exercised.
+  EXPECT_GT(disconnected, 20);
+  EXPECT_GT(delta_violations, 20);
+  EXPECT_GT(valid, 5);
+  EXPECT_GT(rootless, 5);
 }
 
 // -- Quadtree -----------------------------------------------------------------

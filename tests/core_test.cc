@@ -2,6 +2,8 @@
 // exactness, maintenance behavior, and ledger consistency.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "core/clustered_network.h"
 #include "data/synthetic.h"
@@ -198,6 +200,20 @@ TEST(ClusteredNetworkTest, EngineQueriesRejectWhatTheProtocolsReject) {
   // The distributed runs refuse the same arguments.
   EXPECT_FALSE(net.RangeQueryDistributed(0, wrong_dim, 1.0).ok());
   EXPECT_FALSE(net.SafePathDistributed(0, 1, q, -1.0).ok());
+}
+
+// Both used to reach MaintenanceSession's constructor checks and abort.
+TEST(ClusteredNetworkTest, RejectsNegativeSlackAndNanDelta) {
+  const SensorDataset ds = TerrainDs();
+  ClusteredSensorNetwork::Options negative_slack = DefaultOptions(ds);
+  negative_slack.slack = -10.0;
+  ClusteredSensorNetwork::Options nan_delta = DefaultOptions(ds);
+  nan_delta.delta = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& opts : {negative_slack, nan_delta}) {
+    auto net = ClusteredSensorNetwork::Build(ds, opts);
+    ASSERT_FALSE(net.ok());
+    EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ClusteredNetworkTest, RejectsDatasetWithoutMetric) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "data/dataset.h"
@@ -183,6 +184,27 @@ TEST(TerrainDatasetTest, DifferentSeedsDifferentTerrain) {
   Result<SensorDataset> db = MakeTerrainDataset(b);
   ASSERT_TRUE(da.ok() && db.ok());
   EXPECT_NE(da.value().features, db.value().features);
+}
+
+// Out-of-range heightmap parameters used to abort inside DiamondSquare.
+TEST(TerrainDatasetTest, RejectsBadHeightmapParameters) {
+  for (int exponent : {-1, 0, 13}) {
+    TerrainConfig cfg;
+    cfg.num_nodes = 50;
+    cfg.heightmap_exponent = exponent;
+    Result<SensorDataset> ds = MakeTerrainDataset(cfg);
+    ASSERT_FALSE(ds.ok()) << "exponent " << exponent;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double roughness : {-0.5, 0.0, 1.0, 1.5,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    TerrainConfig cfg;
+    cfg.num_nodes = 50;
+    cfg.roughness = roughness;
+    Result<SensorDataset> ds = MakeTerrainDataset(cfg);
+    ASSERT_FALSE(ds.ok()) << "roughness " << roughness;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SyntheticDatasetTest, AlphaFeaturesInConfiguredRange) {

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "baselines/exact.h"
 #include "cluster/elink.h"
@@ -140,6 +142,28 @@ TEST(ElinkTest, RejectsInvalidArguments) {
   EXPECT_FALSE(
       RunElink(t, wrong_size, OneDim(), BaseConfig(1.0), ElinkMode::kImplicit)
           .ok());
+}
+
+// A negative slack used to pass validation and cluster against a threshold
+// above delta (on this terrain at delta 60, slack -30: d(4, 70) = 76.3 in one
+// cluster), and a NaN delta or slack passed both sign tests.
+TEST(ElinkTest, RejectsNegativeSlackAndNanParameters) {
+  TerrainConfig tcfg;
+  tcfg.num_nodes = 400;
+  tcfg.radio_range_fraction = 0.08;
+  const SensorDataset ds = MakeTerrainDataset(tcfg).value();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> bad[] = {
+      {60.0, -30.0}, {nan, 0.0}, {60.0, nan}, {nan, nan}};
+  for (const auto& [delta, slack] : bad) {
+    ElinkConfig cfg = BaseConfig(delta);
+    cfg.slack = slack;
+    for (ElinkMode mode : {ElinkMode::kImplicit, ElinkMode::kExplicit}) {
+      Result<ElinkResult> r = RunElink(ds, cfg, mode);
+      ASSERT_FALSE(r.ok()) << "delta " << delta << " slack " << slack;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(ElinkTest, ImplicitAndExplicitAgreeOnSynchronousNetworks) {

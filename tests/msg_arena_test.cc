@@ -1,18 +1,18 @@
-// Lifecycle and equivalence tests for the message arena (sim/msg_arena.h).
+// Lifecycle and equivalence tests for the Network's in-flight payload pool.
 //
-// Three layers:
-//  * MessageArena unit tests — refcount-driven destruction, epoch slab
-//    rewind/recycle, destructor teardown of in-flight payloads.  Run under
-//    ASan/LSan these double as leak proofs for every path.
+// Two layers:
 //  * Network-level release tests — every way a payload can leave flight
 //    (delivery, fault drop, churn drop, all-legs-dropped broadcast) must end
-//    with arena().live() == 0: a send that is never delivered must still
-//    free its payload.
+//    with payloads_in_flight() == 0: a send that is never delivered must
+//    still free its payload.  A payload a handler is reading must survive
+//    the pool growth that handler's own sends cause, and a network torn
+//    down mid-run must free what is still queued.  Run under ASan/LSan
+//    these double as use-after-free and leak proofs for every path.
 //  * The pinned run digests — for 100 fuzzed scenarios, a full ELink run
 //    must reproduce the digest of its RunReport, ledger, clustering and
 //    completion time recorded while the legacy heap-closure delivery path
-//    still existed and was proven byte-identical to the arena path.  This
-//    is the strongest statement of the arena's contract: not "close", the
+//    still existed and was proven byte-identical to the pooled path.  This
+//    is the strongest statement of the pool's contract: not "close", the
 //    same bits.
 #include <bit>
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "cluster/elink.h"
 #include "obs/run_report.h"
 #include "obs/telemetry.h"
-#include "sim/msg_arena.h"
 #include "sim/network.h"
 #include "sim/topology.h"
 
@@ -40,116 +39,6 @@ Message TestMessage(int type, std::vector<double> doubles = {}) {
   m.category = InternCategory("test");
   m.doubles = std::move(doubles);
   return m;
-}
-
-// -- MessageArena unit tests --------------------------------------------------
-
-TEST(MessageArenaTest, CreateReleaseLifecycle) {
-  MessageArena arena;
-  EXPECT_EQ(arena.live(), 0u);
-  EXPECT_EQ(arena.slabs_allocated(), 0u);
-
-  MessageArena::Slot* slot = arena.Create(TestMessage(7, {1.0, 2.5}));
-  ASSERT_NE(slot, nullptr);
-  EXPECT_EQ(arena.live(), 1u);
-  EXPECT_EQ(arena.slabs_allocated(), 1u);
-  EXPECT_EQ(slot->refs, 1u);
-  EXPECT_EQ(slot->msg.type, 7);
-  EXPECT_EQ(CategoryName(slot->msg.category), "test");
-  ASSERT_EQ(slot->msg.doubles.size(), 2u);
-  EXPECT_DOUBLE_EQ(slot->msg.doubles[1], 2.5);
-
-  // One extra ref per additionally scheduled delivery; the payload survives
-  // until the last release.
-  MessageArena::AddRef(slot);
-  EXPECT_EQ(slot->refs, 2u);
-  arena.Release(slot);
-  EXPECT_EQ(arena.live(), 1u);
-  arena.Release(slot);
-  EXPECT_EQ(arena.live(), 0u);
-
-  // The (active) slab rewound: the next payload reuses it, no new slab.
-  arena.Create(TestMessage(8));
-  EXPECT_EQ(arena.slabs_allocated(), 1u);
-}
-
-TEST(MessageArenaTest, SlabGrowthAndWholesaleRecycle) {
-  constexpr size_t kN = MessageArena::kSlotsPerSlab;
-  MessageArena arena;
-
-  // Fill slab 0 completely, then overflow into slab 1.
-  std::vector<MessageArena::Slot*> first(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    first[i] = arena.Create(TestMessage(static_cast<int>(i)));
-  }
-  EXPECT_EQ(arena.slabs_allocated(), 1u);
-  MessageArena::Slot* overflow = arena.Create(TestMessage(-1));
-  EXPECT_EQ(arena.slabs_allocated(), 2u);
-  EXPECT_EQ(arena.live(), kN + 1);
-
-  // Payloads survive slab growth untouched (out-of-order spot check).
-  EXPECT_EQ(first[3]->msg.type, 3);
-  EXPECT_EQ(first[kN - 1]->msg.type, static_cast<int>(kN - 1));
-
-  // Drain slab 0 out of order: it rewinds wholesale only when the *last*
-  // live payload goes, then waits as a drained slab.
-  for (size_t i = kN; i-- > 1;) arena.Release(first[i]);
-  EXPECT_EQ(arena.live(), 2u);
-  arena.Release(first[0]);
-  EXPECT_EQ(arena.live(), 1u);
-  EXPECT_EQ(arena.slab_recycles(), 0u);
-
-  // Fill slab 1 to capacity; the next Create must recycle drained slab 0
-  // instead of allocating slab 2.
-  std::vector<MessageArena::Slot*> second;
-  for (size_t i = 1; i < kN; ++i) second.push_back(arena.Create(TestMessage(0)));
-  EXPECT_EQ(arena.slabs_allocated(), 2u);
-  MessageArena::Slot* recycled = arena.Create(TestMessage(42));
-  EXPECT_EQ(arena.slabs_allocated(), 2u);
-  EXPECT_EQ(arena.slab_recycles(), 1u);
-  EXPECT_EQ(recycled->msg.type, 42);
-
-  arena.Release(recycled);
-  arena.Release(overflow);
-  for (MessageArena::Slot* s : second) arena.Release(s);
-  EXPECT_EQ(arena.live(), 0u);
-}
-
-TEST(MessageArenaTest, SteadyChurnNeverGrowsPastHighWaterMark) {
-  // A long run with bounded in-flight population must not keep allocating:
-  // slabs recycle through the drained list, the heap is touched only while
-  // the high-water mark grows.
-  MessageArena arena;
-  std::vector<MessageArena::Slot*> window;
-  for (int i = 0; i < 20000; ++i) {
-    window.push_back(arena.Create(TestMessage(i, {1.0})));
-    if (window.size() > 300) {
-      arena.Release(window.front());
-      window.erase(window.begin());
-    }
-  }
-  // 300 in flight needs ceil(300/256) + 1 slabs at most (the +1 because a
-  // slab only rewinds when fully drained, so two partial slabs can coexist
-  // with the active one).
-  EXPECT_LE(arena.slabs_allocated(), 3u);
-  EXPECT_GT(arena.slab_recycles(), 0u);
-  for (MessageArena::Slot* s : window) arena.Release(s);
-  EXPECT_EQ(arena.live(), 0u);
-}
-
-TEST(MessageArenaTest, DestructorTearsDownInFlightPayloads) {
-  // Payloads scheduled but never dispatched (a queue torn down mid-run) are
-  // destroyed by ~MessageArena.  Under ASan/LSan this test fails if any
-  // Message (or its heap-owned vectors) leaks.
-  MessageArena arena;
-  for (int i = 0; i < 10; ++i) {
-    MessageArena::Slot* s =
-        arena.Create(TestMessage(i, {1.0, 2.0, 3.0, 4.0}));
-    if (i % 2 == 0) MessageArena::AddRef(s);  // Still live either way.
-    if (i == 3) arena.Release(s), arena.Release(s);  // This one fully dies.
-  }
-  EXPECT_EQ(arena.live(), 9u);
-  // ~MessageArena runs here and must destroy exactly the 9 live payloads.
 }
 
 // -- Network-level release tests ----------------------------------------------
@@ -177,7 +66,7 @@ TEST(NetworkArenaTest, DeliveredPayloadsAreReleased) {
   net.SendRouted(2, 2, TestMessage(4));     // Self-delivery.
   net.Run();
 
-  EXPECT_EQ(net.arena().live(), 0u);
+  EXPECT_EQ(net.payloads_in_flight(), 0u);
   int total = 0;
   for (int i = 0; i < net.num_nodes(); ++i) {
     total += static_cast<SinkNode*>(net.node(i))->received;
@@ -198,7 +87,7 @@ TEST(NetworkArenaTest, FaultDroppedSendsReleasePayloads) {
   net.Broadcast(4, TestMessage(99, {5.0, 6.0, 7.0}));
   net.Run();
 
-  EXPECT_EQ(net.arena().live(), 0u);
+  EXPECT_EQ(net.payloads_in_flight(), 0u);
   EXPECT_GT(net.stats().dropped_sends(), 0u);
   for (int i = 0; i < net.num_nodes(); ++i) {
     EXPECT_EQ(static_cast<SinkNode*>(net.node(i))->received, 0);
@@ -219,7 +108,7 @@ TEST(NetworkArenaTest, PartiallyDroppedBroadcastReleasesOnLastDelivery) {
   }
   net.Run();
   // Some legs delivered, some dropped; either way every payload is dead.
-  EXPECT_EQ(net.arena().live(), 0u);
+  EXPECT_EQ(net.payloads_in_flight(), 0u);
   EXPECT_GT(net.stats().dropped_sends(), 0u);
 }
 
@@ -227,7 +116,7 @@ TEST(NetworkArenaTest, ChurnAbsentEndpointDropsReleasePayloads) {
   Network::Config cfg;
   cfg.seed = 14;
   // Node 4 (grid center) is absent until t = 100: every leg to it before
-  // then is a churn drop, taken before any arena ref is added.
+  // then is a churn drop, taken before any payload reference is added.
   cfg.churn.joins.push_back({4, 100.0});
   Network net(MakeGridTopology(3, 3), cfg);
   net.InstallNodes([](int) { return std::make_unique<SinkNode>(); });
@@ -236,22 +125,62 @@ TEST(NetworkArenaTest, ChurnAbsentEndpointDropsReleasePayloads) {
   net.Send(3, 4, TestMessage(2, {2.0}));    // Unicast into the void.
   net.Run();
 
-  EXPECT_EQ(net.arena().live(), 0u);
+  EXPECT_EQ(net.payloads_in_flight(), 0u);
   EXPECT_GE(net.churn_drops(), 2u);
   EXPECT_EQ(static_cast<SinkNode*>(net.node(4))->received, 0);
 }
 
 TEST(NetworkArenaTest, TeardownWithQueuedDeliveriesDoesNotLeak) {
-  // Destroy the network with deliveries still scheduled: the arena's
-  // destructor must reap the in-flight payloads (LSan-visible otherwise).
+  // Destroy the network with deliveries still scheduled: the pool must free
+  // the in-flight payloads (LSan-visible otherwise).
   Network::Config cfg;
   cfg.seed = 15;
   Network net(MakeGridTopology(3, 3), cfg);
   net.InstallNodes([](int) { return std::make_unique<SinkNode>(); });
   for (int i = 0; i < 50; ++i) net.Send(0, 1, TestMessage(i, {1.0, 2.0}));
   net.Broadcast(4, TestMessage(99, {3.0}));
-  EXPECT_GT(net.arena().live(), 0u);
-  // ~Network (and ~MessageArena) run here with every payload undelivered.
+  EXPECT_GT(net.payloads_in_flight(), 0u);
+  // ~Network runs here with every payload undelivered.
+}
+
+// A node that answers a broadcast with a burst of sends back to the
+// broadcaster, then reads the broadcast it is handling.
+class BurstOnReceiveNode : public Node {
+ public:
+  static constexpr int kBurst = 3000;
+  void HandleMessage(int from, const Message& msg) override {
+    if (msg.type != 1) {
+      ++received;
+      return;
+    }
+    for (int i = 0; i < kBurst; ++i) {
+      network()->Send(id(), from, TestMessage(2, {1.0}));
+    }
+    // `msg` is the broadcast's shared payload: the sends above grew the
+    // pool, and the payload must not have moved.
+    read_back = msg.doubles[0] + msg.doubles[1];
+  }
+  int received = 0;
+  double read_back = 0.0;
+};
+
+TEST(NetworkArenaTest, HandlerPayloadSurvivesPoolGrowthItCauses) {
+  Network::Config cfg;
+  cfg.seed = 16;
+  Network net(MakeGridTopology(3, 3), cfg);
+  net.InstallNodes([](int) { return std::make_unique<BurstOnReceiveNode>(); });
+  net.Broadcast(4, TestMessage(1, {1.5, 2.5}));  // Center: 4 neighbors.
+  EXPECT_EQ(net.payloads_in_flight(), 1u);
+  net.Run();
+
+  EXPECT_EQ(net.payloads_in_flight(), 0u);
+  for (int nb : {1, 3, 5, 7}) {
+    EXPECT_DOUBLE_EQ(
+        static_cast<BurstOnReceiveNode*>(net.node(nb))->read_back, 4.0)
+        << "neighbor " << nb;
+  }
+  EXPECT_EQ(static_cast<BurstOnReceiveNode*>(net.node(4))->received,
+            4 * BurstOnReceiveNode::kBurst);
 }
 
 // -- Pinned run digests -------------------------------------------------------
@@ -340,7 +269,7 @@ uint64_t Digest(const RunFingerprint& fp) {
 }
 
 // Digests of seeds 1..100, recorded when the legacy heap-closure delivery
-// path still existed and the arena path was proven byte-identical to it
+// path still existed and the pooled path was proven byte-identical to it
 // seed by seed.  Pinning them keeps that comparison in force with a single
 // delivery path left.
 constexpr uint64_t kRecordedDigests[100] = {

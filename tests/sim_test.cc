@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -52,44 +53,9 @@ TEST(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_DOUBLE_EQ(q.Now(), 2.0);
 }
 
-TEST(EventQueueTest, RunUntilStopsAtBoundary) {
+TEST(EventQueueTest, LargeClosuresRun) {
   EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(1.0, [&] { ++fired; });
-  q.ScheduleAt(2.0, [&] { ++fired; });
-  q.ScheduleAt(3.0, [&] { ++fired; });
-  EXPECT_EQ(q.RunUntil(2.0), 2u);
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.Size(), 1u);
-}
-
-TEST(EventQueueTest, RunUntilAdvancesNowToHorizon) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(1.0, [&] { ++fired; });
-  EXPECT_EQ(q.RunUntil(5.0), 1u);
-  // The queue drained at t=1, but the caller simulated up to t=5: Now() is
-  // the horizon, so relative scheduling continues from there.
-  EXPECT_DOUBLE_EQ(q.Now(), 5.0);
-  q.ScheduleAfter(1.0, [&] { ++fired; });
-  q.RunAll();
-  EXPECT_DOUBLE_EQ(q.Now(), 6.0);
-  EXPECT_EQ(fired, 2);
-  // An empty RunUntil also advances, and never moves time backwards.
-  EXPECT_EQ(q.RunUntil(10.0), 0u);
-  EXPECT_DOUBLE_EQ(q.Now(), 10.0);
-  EXPECT_EQ(q.RunUntil(4.0), 0u);
-  EXPECT_DOUBLE_EQ(q.Now(), 10.0);
-}
-
-TEST(EventQueueTest, MoveOnlyPayloadsPopWithoutCopying) {
-  EventQueue q;
-  // std::function would reject this closure outright (not copyable); the
-  // old queue additionally deep-copied every closure on pop.
-  auto payload = std::make_unique<int>(41);
-  int seen = 0;
-  q.ScheduleAt(1.0, [p = std::move(payload), &seen] { seen = *p + 1; });
-  // A payload large enough to force the heap storage path as well.
+  // Captures too large for std::function's inline buffer.
   struct Big {
     double vals[16];
   };
@@ -98,8 +64,52 @@ TEST(EventQueueTest, MoveOnlyPayloadsPopWithoutCopying) {
   double big_seen = 0.0;
   q.ScheduleAt(2.0, [big, &big_seen] { big_seen = big.vals[7]; });
   q.RunAll();
-  EXPECT_EQ(seen, 42);
   EXPECT_DOUBLE_EQ(big_seen, 8.0);
+}
+
+// A callback that schedules thousands of callbacks grows the slot vector
+// under itself; it must still read and write through its own captures
+// afterwards.  Both closure sizes: two references fit inside the
+// std::function object (and so inside the vector's storage), a large
+// capture lives on the heap.  Invoking the callback in place in its slot
+// reads freed memory here (ASan: heap-use-after-free).
+TEST(EventQueueTest, CallbackOutlivesSlotGrowthItCauses) {
+  constexpr int kFanOut = 5000;
+  struct State {
+    int children = 0;
+    int after = -1;
+  };
+  {
+    EventQueue q;
+    State st;
+    q.ScheduleAt(1.0, [&q, &st] {
+      for (int i = 0; i < kFanOut; ++i) {
+        q.ScheduleAfter(1.0, [&st] { ++st.children; });
+      }
+      st.after = st.children;
+    });
+    EXPECT_EQ(q.RunAll(), 1u + kFanOut);
+    EXPECT_EQ(st.after, 0);
+    EXPECT_EQ(st.children, kFanOut);
+  }
+  {
+    EventQueue q;
+    State st;
+    std::array<double, 16> big{};
+    big[3] = 3.5;
+    double big_after = 0.0;
+    q.ScheduleAt(1.0, [&q, &st, &big_after, big] {
+      for (int i = 0; i < kFanOut; ++i) {
+        q.ScheduleAfter(1.0, [&st] { ++st.children; });
+      }
+      big_after = big[3];
+      st.after = st.children;
+    });
+    EXPECT_EQ(q.RunAll(), 1u + kFanOut);
+    EXPECT_DOUBLE_EQ(big_after, 3.5);
+    EXPECT_EQ(st.after, 0);
+    EXPECT_EQ(st.children, kFanOut);
+  }
 }
 
 TEST(EventQueueTest, PeakSizeTracksHighWater) {
@@ -162,6 +172,80 @@ TEST(EventQueueTest, TieHeavyOrderMatchesStableSortModel) {
                    });
   for (size_t i = 0; i < scheduled.size(); ++i) {
     EXPECT_EQ(fired[i], scheduled[i].second) << "at dispatch " << i;
+  }
+}
+
+// Inline deliveries, inline timers and generic callbacks share timestamps,
+// reschedule one another from inside dispatch, and the test drains the
+// queue through many small RunAll(k) calls that stop mid-timestamp (adding
+// events at exactly Now() between calls).  Dispatch order must still be
+// exact (time, insertion-sequence) order: the stable-sort model.
+TEST(EventQueueTest, MixedKindOrderMatchesStableSortModel) {
+  struct Model {
+    EventQueue q;
+    Rng rng{2024};
+    std::vector<std::pair<double, int>> scheduled;  // (time, id), seq order
+    std::vector<int> fired;
+    int next_id = 0;
+
+    // Schedules one event of a random kind at `time`; a third of them
+    // schedule a follow-up at `time` itself or a little later.
+    void Schedule(double time) {
+      const int id = next_id++;
+      scheduled.emplace_back(time, id);
+      const double delay = time - q.Now();
+      switch (rng.UniformInt(3)) {
+        case 0:
+          q.ScheduleDeliveryAfter(delay, id, 0, this);
+          break;
+        case 1:
+          q.ScheduleTimerAfter(delay, id, 0, 0);
+          break;
+        default:
+          q.ScheduleAfter(delay, [this, id] { Fire(id); });
+          break;
+      }
+    }
+    void Fire(int id) {
+      fired.push_back(id);
+      if (next_id < 3000 && rng.UniformInt(3) == 0) {
+        Schedule(q.Now() + 0.5 * static_cast<double>(rng.UniformInt(3)));
+      }
+    }
+  };
+  Model m;
+  m.q.SetInlineHandlers(
+      [](void* ctx, int from, int, void*) {
+        static_cast<Model*>(ctx)->Fire(from);
+      },
+      [](void* ctx, int node, int, uint64_t) {
+        static_cast<Model*>(ctx)->Fire(node);
+      },
+      &m);
+  for (int i = 0; i < 600; ++i) {
+    m.Schedule(0.5 * static_cast<double>(m.rng.UniformInt(12)));
+  }
+  int drains = 0;
+  while (!m.q.Empty()) {
+    const uint64_t k = 1 + m.rng.UniformInt(5);
+    const size_t before = m.fired.size();
+    const uint64_t ran = m.q.RunAll(k);
+    EXPECT_EQ(ran, m.fired.size() - before);
+    EXPECT_LE(ran, k);
+    ++drains;
+    if (drains % 7 == 0) m.Schedule(m.q.Now());
+  }
+  EXPECT_GT(drains, 200);
+
+  ASSERT_EQ(m.fired.size(), m.scheduled.size());
+  // Every event is scheduled no earlier than Now(), and Now() never passes
+  // a pending time, so stable-sorting by time reproduces dispatch order.
+  std::stable_sort(m.scheduled.begin(), m.scheduled.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (size_t i = 0; i < m.scheduled.size(); ++i) {
+    ASSERT_EQ(m.fired[i], m.scheduled[i].second) << "at dispatch " << i;
   }
 }
 
