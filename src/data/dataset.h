@@ -44,7 +44,10 @@ struct SensorDataset {
 double MaxNeighborDistance(const SensorDataset& ds);
 
 /// Largest pairwise feature distance over all node pairs (the feature-space
-/// diameter).  O(N^2); fine for the paper's network sizes.
+/// diameter).  O(N) when every feature is one finite value under a
+/// WeightedEuclidean metric (synthetic, terrain and plume); an O(N^2) scan of
+/// all pairs otherwise (Tao's 4-D features, other metrics, NaN or infinite
+/// features).  Both give the same bits.
 double FeatureDiameter(const SensorDataset& ds);
 
 /// Evenly spaced delta values in [lo_frac, hi_frac] * FeatureDiameter(ds).

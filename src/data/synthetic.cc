@@ -1,5 +1,7 @@
 #include "data/synthetic.h"
 
+#include <limits>
+
 #include "timeseries/ar_model.h"
 
 namespace elink {
@@ -14,6 +16,12 @@ Result<SensorDataset> MakeSyntheticDataset(const SyntheticConfig& config) {
   }
   if (config.train_length < 10) {
     return Status::InvalidArgument("train_length too short");
+  }
+  if (config.stream_length < 0 ||
+      config.stream_length >
+          std::numeric_limits<int>::max() - config.train_length) {
+    return Status::InvalidArgument(
+        "stream_length must be non-negative and fit an int with train_length");
   }
   Rng rng(config.seed);
   Result<Topology> topo = MakeRandomTopologyWithDegree(

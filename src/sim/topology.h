@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "sim/graph.h"
 #include "sim/point.h"
 
 namespace elink {
@@ -44,6 +45,15 @@ struct Topology {
 /// grid cell (r, c) is r * cols + c.
 Topology MakeGridTopology(int rows, int cols, double spacing = 1.0);
 
+/// Unit-disk graph on `positions`: i and j are neighbours exactly when
+/// EuclideanDistance(positions[i], positions[j]) <= range, and each list is
+/// sorted ascending.  Buckets the nodes into a grid of cells about `range`
+/// wide, so it costs O(N + E) time and O(N) extra memory.  `range` must be
+/// positive, and the positions finite and less than DBL_MAX apart along
+/// each axis.
+AdjacencyList UnitDiskAdjacency(const std::vector<Point2D>& positions,
+                                double range);
+
 /// Uniform-random placement of n nodes on a square of side `side`, connected
 /// as a unit-disk graph with `radio_range`.  When `force_connectivity` is
 /// set, the radio range is grown (by 10% steps) until the graph is connected,
@@ -51,9 +61,12 @@ Topology MakeGridTopology(int rows, int cols, double spacing = 1.0);
 Result<Topology> MakeRandomTopology(int n, double side, double radio_range,
                                     Rng* rng, bool force_connectivity = true);
 
-/// Uniform-random placement calibrated so the *average* degree is close to
-/// `target_avg_degree` (the paper's synthetic setup uses ~4); side length is
-/// chosen from `density` = n / side^2.
+/// Uniform-random placement whose starting radio range would give a Poisson
+/// field of `density` = n / side^2 a mean degree of `target_avg_degree` (the
+/// paper's synthetic setup uses ~4).  Forced connectivity then grows the
+/// range, so the realized mean degree is well above the target: for target 4
+/// at density 0.8 it is 9.4-11.6 at 200-4,000 nodes, 12.5 at 16k-32k and
+/// 15.1 at 100k.
 Result<Topology> MakeRandomTopologyWithDegree(int n, double density,
                                               double target_avg_degree,
                                               Rng* rng);

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "sim/graph.h"
@@ -13,9 +18,13 @@
 #include "data/synthetic.h"
 #include "data/tao.h"
 #include "data/terrain.h"
+#include "metric/distance.h"
 
 namespace elink {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Mean pairwise feature distance between communication-graph neighbors vs.
 // between random non-neighbor pairs; spatially correlated data must have the
@@ -207,6 +216,19 @@ TEST(TerrainDatasetTest, RejectsBadHeightmapParameters) {
   }
 }
 
+// A NaN radio range used to fail as Internal ("failed to connect"), and an
+// infinite one returned a complete graph.
+TEST(TerrainDatasetTest, RejectsBadRadioRange) {
+  for (double fraction : {0.0, -0.1, kNaN, kInf}) {
+    TerrainConfig cfg;
+    cfg.num_nodes = 50;
+    cfg.radio_range_fraction = fraction;
+    Result<SensorDataset> ds = MakeTerrainDataset(cfg);
+    ASSERT_FALSE(ds.ok()) << "radio_range_fraction " << fraction;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(SyntheticDatasetTest, AlphaFeaturesInConfiguredRange) {
   SyntheticConfig cfg;
   cfg.num_nodes = 150;
@@ -251,6 +273,43 @@ TEST(SyntheticDatasetTest, RejectsBadConfig) {
   SyntheticConfig cfg2;
   cfg2.train_length = 3;
   EXPECT_FALSE(MakeSyntheticDataset(cfg2).ok());
+  // A negative stream length used to read past the end of each node's
+  // series; a length that overflows train_length + stream_length is
+  // rejected too.
+  for (int stream_length : {-5, -600, std::numeric_limits<int>::max()}) {
+    SyntheticConfig c;
+    c.num_nodes = 20;
+    c.stream_length = stream_length;
+    EXPECT_EQ(MakeSyntheticDataset(c).status().code(),
+              StatusCode::kInvalidArgument)
+        << "stream_length " << stream_length;
+  }
+  for (double bad : {0.0, -1.0, kNaN, kInf}) {
+    SyntheticConfig c;
+    c.num_nodes = 20;
+    c.density = bad;
+    EXPECT_EQ(MakeSyntheticDataset(c).status().code(),
+              StatusCode::kInvalidArgument)
+        << "density " << bad;
+    c.density = 0.8;
+    c.target_avg_degree = bad;
+    EXPECT_EQ(MakeSyntheticDataset(c).status().code(),
+              StatusCode::kInvalidArgument)
+        << "target_avg_degree " << bad;
+  }
+}
+
+TEST(SyntheticDatasetTest, EmptyStreamKeepsTopologyAndFeatures) {
+  SyntheticConfig with_stream;
+  with_stream.num_nodes = 120;
+  SyntheticConfig without = with_stream;
+  without.stream_length = 0;
+  Result<SensorDataset> a = MakeSyntheticDataset(with_stream);
+  Result<SensorDataset> b = MakeSyntheticDataset(without);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a.value().topology.adjacency, b.value().topology.adjacency);
+  EXPECT_EQ(a.value().features, b.value().features);
+  for (const auto& s : b.value().streams) EXPECT_TRUE(s.empty());
 }
 
 TEST(DatasetHelpersTest, DiameterAndSweep) {
@@ -327,6 +386,153 @@ TEST(PlumeDatasetTest, RejectsBadConfig) {
   PlumeConfig cfg2;
   cfg2.sigma0 = 0.0;
   EXPECT_FALSE(MakePlumeDataset(cfg2).ok());
+  for (double bad : {0.0, -1.0, kNaN, kInf}) {
+    PlumeConfig c;
+    c.num_nodes = 30;
+    c.side = bad;
+    EXPECT_EQ(MakePlumeDataset(c).status().code(),
+              StatusCode::kInvalidArgument)
+        << "side " << bad;
+    c.side = 1000.0;
+    c.radio_range_fraction = bad;
+    EXPECT_EQ(MakePlumeDataset(c).status().code(),
+              StatusCode::kInvalidArgument)
+        << "radio_range_fraction " << bad;
+  }
+}
+
+// -- FeatureDiameter: the one-dimensional fast path vs the pair scan --------
+
+// The all-pairs scan: FeatureDiameter's only implementation for the inputs
+// its fast path leaves out, and the reference for both.
+double PairScanDiameter(const SensorDataset& ds) {
+  double m = 0.0;
+  const int n = ds.topology.num_nodes();
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      m = std::max(m, ds.metric->Distance(ds.features[i], ds.features[j]));
+    }
+  }
+  return m;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+SensorDataset FeaturesOnly(std::vector<Feature> features,
+                           std::shared_ptr<const DistanceMetric> metric) {
+  SensorDataset ds;
+  ds.topology.positions.resize(features.size());
+  ds.topology.adjacency.resize(features.size());
+  ds.features = std::move(features);
+  ds.metric = std::move(metric);
+  return ds;
+}
+
+void ExpectDiameterMatchesPairScan(const SensorDataset& ds,
+                                   const std::string& label) {
+  const double want = PairScanDiameter(ds);
+  const double got = FeatureDiameter(ds);
+  EXPECT_EQ(Bits(got), Bits(want)) << label << ": " << got << " vs " << want;
+}
+
+std::shared_ptr<const DistanceMetric> Weighted(std::vector<double> w) {
+  return std::make_shared<WeightedEuclidean>(std::move(w));
+}
+
+TEST(FeatureDiameterDiffTest, OneDimensionalMatchesPairScanBitForBit) {
+  Rng rng(404);
+  for (double w : {1.0, 0.37, 2.5, 1e-3, 7.0}) {
+    for (int n : {0, 1, 2, 3, 17, 400}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        // Negative values, wide magnitudes and duplicates (small integers).
+        std::vector<Feature> f(n);
+        for (Feature& x : f) {
+          switch (rng.UniformInt(4)) {
+            case 0: x = {rng.Uniform(-1, 1)}; break;
+            case 1: x = {rng.Uniform(-1e6, 1e6)}; break;
+            case 2: x = {std::round(rng.Uniform(-5, 5))}; break;
+            default: x = {rng.Uniform(0.4, 0.8)};
+          }
+        }
+        ExpectDiameterMatchesPairScan(
+            FeaturesOnly(f, Weighted({w})),
+            "w=" + std::to_string(w) + " n=" + std::to_string(n));
+      }
+    }
+    // Every node on one value, and values whose difference overflows.
+    ExpectDiameterMatchesPairScan(
+        FeaturesOnly({{-3.0}, {-3.0}, {-3.0}}, Weighted({w})), "duplicates");
+    ExpectDiameterMatchesPairScan(
+        FeaturesOnly({{1e308}, {-1e308}, {0.0}}, Weighted({w})), "overflow");
+  }
+}
+
+TEST(FeatureDiameterDiffTest, NonFiniteFeaturesTakeThePairScan) {
+  const std::vector<std::vector<Feature>> cases = {
+      {{kNaN}, {1.0}, {5.0}},        {{1.0}, {kNaN}, {5.0}},
+      {{1.0}, {5.0}, {kNaN}},        {{kNaN}, {kNaN}},
+      {{kNaN}, {kNaN}, {2.0}},       {{kNaN}},
+      {{kInf}, {kInf}},              {{-kInf}, {-kInf}, {3.0}},
+      {{kInf}, {1.0}, {-2.0}},       {{-kInf}, {kInf}},
+      {{kNaN}, {kInf}, {3.0}, {-1.0}}};
+  for (double w : {1.0, 0.37}) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      ExpectDiameterMatchesPairScan(FeaturesOnly(cases[c], Weighted({w})),
+                                    "case " + std::to_string(c));
+    }
+  }
+}
+
+TEST(FeatureDiameterDiffTest, OtherMetricsAndDimensionsUseThePairScan) {
+  Rng rng(405);
+  std::vector<Feature> two_d(150);
+  for (Feature& x : two_d) x = {rng.Uniform(-2, 2), rng.Uniform(0, 9)};
+  ExpectDiameterMatchesPairScan(FeaturesOnly(two_d, Weighted({1.0, 1.0})),
+                                "2-D Euclidean");
+  ExpectDiameterMatchesPairScan(FeaturesOnly(two_d, Weighted({0.5, 0.3})),
+                                "2-D weighted");
+  const auto l1 = std::make_shared<ManhattanDistance>();
+  ExpectDiameterMatchesPairScan(FeaturesOnly(two_d, l1), "2-D Manhattan");
+  std::vector<Feature> one_d(150);
+  for (Feature& x : one_d) x = {rng.Uniform(-2, 2)};
+  ExpectDiameterMatchesPairScan(FeaturesOnly(one_d, l1), "1-D Manhattan");
+  // A table metric on item indices: its diameter is the largest entry,
+  // which has nothing to do with the largest and smallest index.
+  Result<TableMetric> table = TableMetric::Create(
+      {{0, 9, 1, 2}, {9, 0, 3, 4}, {1, 3, 0, 5}, {2, 4, 5, 0}});
+  ASSERT_TRUE(table.ok());
+  const auto tm = std::make_shared<TableMetric>(std::move(table).value());
+  const SensorDataset items = FeaturesOnly({{0}, {1}, {2}, {3}}, tm);
+  ExpectDiameterMatchesPairScan(items, "table");
+  EXPECT_EQ(FeatureDiameter(items), 9.0);
+}
+
+TEST(FeatureDiameterDiffTest, GeneratedDatasetsMatchPairScan) {
+  SyntheticConfig scfg;
+  scfg.num_nodes = 300;
+  scfg.stream_length = 0;
+  Result<SensorDataset> synthetic = MakeSyntheticDataset(scfg);
+  TerrainConfig tcfg;
+  tcfg.num_nodes = 300;
+  tcfg.radio_range_fraction = 0.1;
+  Result<SensorDataset> terrain = MakeTerrainDataset(tcfg);
+  PlumeConfig pcfg;
+  pcfg.num_nodes = 200;
+  Result<SensorDataset> plume = MakePlumeDataset(pcfg);
+  TaoConfig taocfg;
+  taocfg.measurements_per_day = 24;
+  taocfg.train_days = 6;
+  taocfg.eval_days = 1;
+  Result<SensorDataset> tao = MakeTaoDataset(taocfg);
+  ASSERT_TRUE(synthetic.ok() && terrain.ok() && plume.ok() && tao.ok());
+  ExpectDiameterMatchesPairScan(synthetic.value(), "synthetic");
+  ExpectDiameterMatchesPairScan(terrain.value(), "terrain");
+  ExpectDiameterMatchesPairScan(plume.value(), "plume");
+  ExpectDiameterMatchesPairScan(tao.value(), "tao");
 }
 
 }  // namespace

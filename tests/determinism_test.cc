@@ -11,6 +11,7 @@
 // Also checks that the bench thread pool (ParallelTrialRunner) is outcome-
 // transparent: trials run under it produce the same bits as serial runs.
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "cluster/elink.h"
 #include "common/rng.h"
 #include "core/clustered_network.h"
+#include "data/synthetic.h"
 #include "data/terrain.h"
 #include "obs/trace.h"
 #include "serve/session.h"
@@ -131,6 +133,47 @@ TEST(DeterminismGoldenTest, CleanAsynchronousExplicitRunIsBitIdentical) {
             "nack=954, phase1=495, phase2=332, start=163)");
   EXPECT_DOUBLE_EQ(r.completion_time, 153.51833153945844);
   EXPECT_EQ(r.total_switches, 0);
+}
+
+uint64_t Fold(uint64_t h, uint64_t word) {
+  h ^= word;
+  h *= 1099511628211ULL;
+  return h;
+}
+
+// A 16,000-node synthetic set-up: thousands of grid cells, seven range
+// steps of the connectivity loop and the one-dimensional diameter.  The
+// values were recorded from the all-pairs builders (the O(N^2) unit-disk
+// scan and the pairwise diameter) that the grid and the min/max replaced.
+TEST(DeterminismGoldenTest, SixteenThousandNodeSetUpIsBitIdentical) {
+  SyntheticConfig cfg;
+  cfg.num_nodes = 16000;
+  cfg.density = 0.8;
+  cfg.target_avg_degree = 4.0;
+  // The evaluation stream enters neither the topology nor the features.
+  cfg.stream_length = 0;
+  auto ds = MakeSyntheticDataset(cfg);
+  ASSERT_TRUE(ds.ok());
+  EXPECT_EQ(ds.value().topology.num_edges(), 99685);
+  uint64_t adjacency = 1469598103934665603ULL;
+  for (const std::vector<int>& nb : ds.value().topology.adjacency) {
+    adjacency = Fold(adjacency, nb.size());
+    for (int j : nb) adjacency = Fold(adjacency, static_cast<uint64_t>(j));
+  }
+  EXPECT_EQ(adjacency, 953972396838687774ULL);
+  uint64_t features = 1469598103934665603ULL;
+  for (const Feature& f : ds.value().features) {
+    for (double v : f) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      features = Fold(features, bits);
+    }
+  }
+  EXPECT_EQ(features, 8373674595911647657ULL);
+  const double diameter = FeatureDiameter(ds.value());
+  uint64_t diameter_bits;
+  std::memcpy(&diameter_bits, &diameter, sizeof diameter_bits);
+  EXPECT_EQ(diameter_bits, 0x3fe216311ef1813eULL);  // 0.5652089695322855
 }
 
 TEST(ParallelTrialRunnerTest, RunsEveryTrialExactlyOnce) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -304,6 +305,164 @@ TEST(TopologyTest, RejectsBadArguments) {
   EXPECT_FALSE(MakeRandomTopology(0, 1.0, 0.5, &rng).ok());
   EXPECT_FALSE(MakeRandomTopology(5, -1.0, 0.5, &rng).ok());
   EXPECT_FALSE(MakeRandomTopologyWithDegree(5, 0.0, 4.0, &rng).ok());
+  // NaN used to fail the connectivity loop as Internal, and an infinite
+  // radio range returned a complete graph.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     kInf, -kInf}) {
+    EXPECT_EQ(MakeRandomTopology(5, bad, 0.5, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "side " << bad;
+    EXPECT_EQ(MakeRandomTopology(5, 1.0, bad, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "radio_range " << bad;
+    EXPECT_EQ(MakeRandomTopologyWithDegree(5, bad, 4.0, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "density " << bad;
+    EXPECT_EQ(MakeRandomTopologyWithDegree(5, 0.8, bad, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "target_avg_degree " << bad;
+  }
+}
+
+// The O(N^2) pair scan that UnitDiskAdjacency replaced, kept as its
+// reference.  Lists come out ascending: i's lower neighbours arrive from
+// earlier rows in order, then its upper ones from its own row.
+AdjacencyList PairScanAdjacency(const std::vector<Point2D>& positions,
+                                double range) {
+  const int n = static_cast<int>(positions.size());
+  AdjacencyList adj(n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (EuclideanDistance(positions[i], positions[j]) <= range) {
+        adj[i].push_back(j);
+        adj[j].push_back(i);
+      }
+    }
+  }
+  return adj;
+}
+
+size_t EdgeCount(const AdjacencyList& adj) {
+  size_t twice = 0;
+  for (const auto& nb : adj) twice += nb.size();
+  return twice / 2;
+}
+
+void ExpectSameAsPairScan(const std::vector<Point2D>& positions, double range,
+                          const std::string& label) {
+  const AdjacencyList want = PairScanAdjacency(positions, range);
+  const AdjacencyList got = UnitDiskAdjacency(positions, range);
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << label << ", node " << i;
+  }
+}
+
+std::vector<Point2D> RandomField(Rng* rng, int n, double x0, double y0,
+                                 double w, double h) {
+  std::vector<Point2D> p(n);
+  for (auto& q : p) q = {x0 + rng->Uniform(0, w), y0 + rng->Uniform(0, h)};
+  return p;
+}
+
+TEST(UnitDiskAdjacencyTest, MatchesPairScanOnRandomFields) {
+  Rng rng(2027);
+  for (int n : {1, 2, 3, 10, 100, 700, 3000}) {
+    // An offset, non-square field, so the grid starts at its bounding box.
+    const std::vector<Point2D> p = RandomField(&rng, n, -40.0, 7.5, 10.0, 6.0);
+    for (double range : {1e-4, 0.01, 0.08, 0.3, 1.1, 4.0, 20.0}) {
+      ExpectSameAsPairScan(p, range,
+                           "n=" + std::to_string(n) +
+                               " range=" + std::to_string(range));
+    }
+  }
+}
+
+TEST(UnitDiskAdjacencyTest, PairsAtExactlyRangeAreNeighbours) {
+  // An integer lattice: 3-4-5 triangles and axis steps put many pairs at
+  // exactly `range`, which the predicate's `<=` admits.
+  for (double unit : {1.0, 0.5, 2.0}) {
+    std::vector<Point2D> p;
+    for (int r = 0; r < 20; ++r) {
+      for (int c = 0; c < 20; ++c) p.push_back({c * unit, r * unit});
+    }
+    const double range = 5 * unit;
+    ExpectSameAsPairScan(p, range, "unit " + std::to_string(unit));
+    const AdjacencyList adj = UnitDiskAdjacency(p, range);
+    const auto has = [&](int u, int v) {
+      return std::binary_search(adj[u].begin(), adj[u].end(), v);
+    };
+    EXPECT_TRUE(has(0, 4 * 20 + 3));  // (0, 0)-(3, 4)
+    EXPECT_TRUE(has(0, 3 * 20 + 4));  // (0, 0)-(4, 3)
+    EXPECT_TRUE(has(0, 5));           // (0, 0)-(5, 0)
+    EXPECT_FALSE(has(0, 4 * 20 + 4));  // (0, 0)-(4, 4) is beyond range
+  }
+}
+
+TEST(UnitDiskAdjacencyTest, PointsOnCellBoundaries) {
+  // Lattices whose spacing is the range itself and the range widened by
+  // the grid's relative margin: neighbours sit on or next to cell borders.
+  for (double range : {0.1, 1.0, 3.7}) {
+    for (double spacing : {range, range * (1 + 1e-9)}) {
+      std::vector<Point2D> p;
+      for (int r = 0; r < 25; ++r) {
+        for (int c = 0; c < 25; ++c) p.push_back({c * spacing, r * spacing});
+      }
+      ExpectSameAsPairScan(p, range,
+                           "range " + std::to_string(range) + " spacing " +
+                               std::to_string(spacing));
+    }
+  }
+}
+
+TEST(UnitDiskAdjacencyTest, CoincidentPointsAndDegenerateFields) {
+  Rng rng(61);
+  // Stacks of coincident points mixed into a random field.
+  std::vector<Point2D> p = RandomField(&rng, 300, 0.0, 0.0, 5.0, 5.0);
+  for (int k = 0; k < 40; ++k) p.push_back(p[k % 3]);
+  ExpectSameAsPairScan(p, 0.4, "stacks");
+  // A zero-extent field: every pair is at distance 0.
+  const std::vector<Point2D> one_spot(60, Point2D{2.5, -1.0});
+  ExpectSameAsPairScan(one_spot, 0.01, "zero extent");
+  EXPECT_EQ(EdgeCount(UnitDiskAdjacency(one_spot, 0.01)), 60u * 59 / 2);
+  // Fields of zero height and zero width.
+  std::vector<Point2D> row, column;
+  for (int i = 0; i < 500; ++i) {
+    row.push_back({rng.Uniform(0, 100), 3.0});
+    column.push_back({-2.0, rng.Uniform(0, 100)});
+  }
+  ExpectSameAsPairScan(row, 0.3, "row");
+  ExpectSameAsPairScan(column, 0.3, "column");
+}
+
+TEST(UnitDiskAdjacencyTest, RangeBeyondTheFieldGivesACompleteGraph) {
+  Rng rng(67);
+  const std::vector<Point2D> p = RandomField(&rng, 200, 0.0, 0.0, 1.0, 1.0);
+  ExpectSameAsPairScan(p, 5.0, "range 5 on a unit field");
+  EXPECT_EQ(EdgeCount(UnitDiskAdjacency(p, 5.0)), 200u * 199 / 2);
+}
+
+TEST(UnitDiskAdjacencyTest, TinyRangeOnAWideFieldCapsTheCellCount) {
+  // One cell per `range` would be 10^18 cells here; the cap keeps the grid
+  // at about one cell per node.  Close pairs keep some edges in play.
+  Rng rng(71);
+  std::vector<Point2D> p;
+  for (int i = 0; i < 1000; ++i) {
+    const Point2D a = {rng.Uniform(0, 1e6), rng.Uniform(0, 1e6)};
+    p.push_back(a);
+    p.push_back({a.x + rng.Uniform(-1e-3, 1e-3),
+                 a.y + rng.Uniform(-1e-3, 1e-3)});
+  }
+  ExpectSameAsPairScan(p, 1e-3, "wide square");
+  EXPECT_GT(EdgeCount(UnitDiskAdjacency(p, 1e-3)), 0u);
+  std::vector<Point2D> line;
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.Uniform(0, 1e9);
+    line.push_back({x, 0.0});
+    line.push_back({x + rng.Uniform(0, 2e-9), 0.0});
+  }
+  ExpectSameAsPairScan(line, 1e-9, "wide line");
 }
 
 TEST(GraphTest, HopDistancesOnGrid) {
