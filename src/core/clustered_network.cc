@@ -9,8 +9,8 @@ namespace elink {
 namespace {
 
 // The query arguments the protocols refuse: a node outside the deployment,
-// a negative radius (or gamma), a query feature whose dimension is not the
-// deployment's.
+// a negative or NaN radius (or gamma), a query feature whose dimension is not
+// the deployment's or that has a NaN or infinite component.
 Status CheckQueryArgs(const std::vector<Feature>& features,
                       std::initializer_list<int> nodes, const Feature& query,
                       double radius) {
@@ -21,11 +21,15 @@ Status CheckQueryArgs(const std::vector<Feature>& features,
           StringPrintf("query node %d out of range [0, %d)", node, n));
     }
   }
-  if (radius < 0) {
+  // Negated, so a NaN radius fails it too.
+  if (!(radius >= 0)) {
     return Status::InvalidArgument("query radius must be non-negative");
   }
   if (query.size() != features[*nodes.begin()].size()) {
     return Status::InvalidArgument("query feature has the wrong dimension");
+  }
+  if (!IsFinite(query)) {
+    return Status::InvalidArgument("query feature must be finite");
   }
   return Status::OK();
 }

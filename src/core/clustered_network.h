@@ -113,15 +113,17 @@ class ClusteredSensorNetwork {
   // -- Queries (Section 7) ----------------------------------------------------
 
   /// All nodes whose current features are within `r` of `q`.
-  /// InvalidArgument for an initiator outside the deployment, a negative
-  /// `r` or a `q` of the wrong dimension, as RangeQueryDistributed.
+  /// InvalidArgument for an initiator outside the deployment, a negative or
+  /// NaN `r`, or a `q` of the wrong dimension or with a NaN or infinite
+  /// component, as RangeQueryDistributed.
   Result<RangeQueryResult> RangeQuery(int initiator, const Feature& q,
                                       double r);
 
   /// A path from `source` to `destination` on which every node's feature is
   /// at least `gamma` from `danger`, if one exists.  InvalidArgument for an
-  /// endpoint outside the deployment, a negative `gamma` or a `danger` of
-  /// the wrong dimension, as SafePathDistributed.
+  /// endpoint outside the deployment, a negative or NaN `gamma`, or a
+  /// `danger` of the wrong dimension or with a NaN or infinite component,
+  /// as SafePathDistributed.
   Result<PathQueryResult> SafePath(int source, int destination,
                                    const Feature& danger, double gamma);
 

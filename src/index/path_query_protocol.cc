@@ -11,12 +11,8 @@
 
 namespace elink {
 
-namespace {
-
-namespace w = path_wire;
-
-/// Read-only per-node deployment state (driver-owned, outlives the run).
-struct PathNodeState {
+/// Read-only per-node deployment state (object-owned, kept across runs).
+struct DistributedPathQuery::PathNodeState {
   int cluster_root = -1;
   int tree_parent = -1;
   const std::vector<int>* mtree_children = nullptr;
@@ -37,6 +33,12 @@ struct PathNodeState {
   };
   std::vector<BackboneChild> backbone_children;
 };
+
+namespace {
+
+namespace w = path_wire;
+
+using PathNodeState = DistributedPathQuery::PathNodeState;
 
 /// Query-global blackboard the nodes report their classifications into.
 struct PathContext {
@@ -235,6 +237,8 @@ DistributedPathQuery::DistributedPathQuery(
       options_(options),
       upper_(backbone, index, features, *metric_) {}
 
+DistributedPathQuery::~DistributedPathQuery() = default;
+
 Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
                                                   const Feature& danger,
                                                   double gamma) {
@@ -244,36 +248,46 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
         StringPrintf("path query endpoints (%d, %d) out of range [0, %d)",
                      source, destination, n));
   }
-  if (gamma < 0) return Status::InvalidArgument("gamma must be non-negative");
+  // Negated, so a NaN gamma fails it too.
+  if (!(gamma >= 0)) {
+    return Status::InvalidArgument("gamma must be non-negative");
+  }
   if (danger.size() != features_[source].size()) {
     return Status::InvalidArgument("danger feature has the wrong dimension");
   }
-
-  // Deployment: hand every node its slice of the cluster/index/backbone
-  // state, as the build protocols would have left it in the field.
-  std::vector<PathNodeState> states(n);
-  for (int i = 0; i < n; ++i) {
-    PathNodeState& s = states[i];
-    s.cluster_root = clustering_.root_of[i];
-    s.tree_parent = index_.parent(i);
-    s.mtree_children = &index_.children(i);
-    s.routing_feature = &index_.routing_feature(i);
-    s.covering_radius = index_.covering_radius(i);
-    s.subtree = &index_.subtree(i);
+  if (!IsFinite(danger)) {
+    return Status::InvalidArgument("danger feature must be finite");
   }
-  for (int leader : backbone_.leaders()) {
-    PathNodeState& s = states[leader];
-    s.is_leader = true;
-    s.is_backbone_root = backbone_.tree_parent(leader) == leader;
-    s.backbone_parent = backbone_.tree_parent(leader);
-    s.root_ball = index_.root_ball_radius(leader);
-    for (int child : backbone_.tree_children(leader)) {
-      PathNodeState::BackboneChild c;
-      c.id = child;
-      c.feature = &features_[child];
-      c.subtree_radius = upper_.radius(child);
-      c.members = upper_.members(child);
-      s.backbone_children.push_back(c);
+
+  // Built on the first Run, not in the constructor: an object that never
+  // runs a query holds no per-node state.
+  if (states_.empty()) {
+    // Deployment: hand every node its slice of the cluster/index/backbone
+    // state, as the build protocols would have left it in the field.
+    states_.resize(n);
+    for (int i = 0; i < n; ++i) {
+      PathNodeState& s = states_[i];
+      s.cluster_root = clustering_.root_of[i];
+      s.tree_parent = index_.parent(i);
+      s.mtree_children = &index_.children(i);
+      s.routing_feature = &index_.routing_feature(i);
+      s.covering_radius = index_.covering_radius(i);
+      s.subtree = &index_.subtree(i);
+    }
+    for (int leader : backbone_.leaders()) {
+      PathNodeState& s = states_[leader];
+      s.is_leader = true;
+      s.is_backbone_root = backbone_.tree_parent(leader) == leader;
+      s.backbone_parent = backbone_.tree_parent(leader);
+      s.root_ball = index_.root_ball_radius(leader);
+      for (int child : backbone_.tree_children(leader)) {
+        PathNodeState::BackboneChild c;
+        c.id = child;
+        c.feature = &features_[child];
+        c.subtree_radius = upper_.radius(child);
+        c.members = upper_.members(child);
+        s.backbone_children.push_back(c);
+      }
     }
   }
 
@@ -288,10 +302,11 @@ Result<PathQueryResult> DistributedPathQuery::Run(int source, int destination,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
+  hopt.net.shared_paths = &paths_;
   proto::RunHarness harness(topology_, hopt);
   harness.set_observer(options_.observer);
   harness.InstallNodes(
-      [&](int i) { return std::make_unique<PathNode>(&states[i], &ctx); });
+      [&](int i) { return std::make_unique<PathNode>(&states_[i], &ctx); });
 
   static_cast<PathNode*>(harness.net().node(source))->Inject();
   const proto::RunHarness::Report report = harness.Run();

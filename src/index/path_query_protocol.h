@@ -25,6 +25,7 @@
 #include "metric/distance.h"
 #include "sim/churn.h"
 #include "sim/fault.h"
+#include "sim/network.h"
 #include "sim/observer.h"
 #include "sim/topology.h"
 
@@ -45,6 +46,16 @@ struct PathProtocolOptions {
 };
 
 /// \brief Executes path queries as a distributed protocol.
+///
+/// Each Run() builds a fresh Network and simulates one query on it.  The
+/// first Run hands every node its slice of the cluster, index and backbone
+/// state (pointers into the inputs, which must outlive the object and not
+/// change while it lives) and the object keeps those slices for every later
+/// Run.  It also owns one walked-path table and lends it to every Run's
+/// Network (Network::Config::shared_paths), so a leader-to-leader pair is
+/// routed by BFS once per object, not once per query; a run under churn
+/// keeps a private table instead.  Neither is observable: each Run's outcome
+/// and ledger equal a fresh object's.
 class DistributedPathQuery {
  public:
   DistributedPathQuery(const Topology& topology, const Clustering& clustering,
@@ -52,15 +63,21 @@ class DistributedPathQuery {
                        const std::vector<Feature>& features,
                        std::shared_ptr<const DistanceMetric> metric,
                        PathProtocolOptions options = {});
+  ~DistributedPathQuery();
 
   /// Finds a safe path from `source` to `destination` avoiding `danger` by
   /// at least `gamma`.  Outcome semantics match PathQueryEngine::Query; the
   /// returned stats additionally carry the protocol's completion acks under
-  /// "path_collect".  Returns InvalidArgument for an endpoint out of range
-  /// or a danger feature whose length is not the deployment's feature
-  /// dimension.
+  /// "path_collect".  Returns InvalidArgument for an endpoint out of range,
+  /// a negative or NaN gamma, or a danger feature whose length is not the
+  /// deployment's feature dimension or that has a NaN or infinite
+  /// component.
   Result<PathQueryResult> Run(int source, int destination,
                               const Feature& danger, double gamma);
+
+  /// One node's slice of the deployment state; defined and used only
+  /// inside path_query_protocol.cc.
+  struct PathNodeState;
 
  private:
   const Topology& topology_;
@@ -71,6 +88,10 @@ class DistributedPathQuery {
   std::shared_ptr<const DistanceMetric> metric_;
   PathProtocolOptions options_;
   UpperIndex upper_;
+  // Every node's slice, built by the first Run.
+  std::vector<PathNodeState> states_;
+  // Lent to every Run's Network.
+  WalkedPathTable paths_;
 };
 
 }  // namespace elink

@@ -35,15 +35,18 @@ double DecodeBudget(long long b) {
   return static_cast<double>(b) / kBudgetScale;
 }
 
+}  // namespace
+
 /// Immutable per-node protocol state (what Section 7 says each node holds).
-struct NodeState {
+/// Features are pointers into the deployment's index and feature vectors.
+struct DistributedRangeQuery::NodeState {
   // Cluster membership / tree.
   int cluster_root = -1;
   int tree_parent = -1;
   // M-tree summaries of the node's cluster-tree children.
   struct ChildInfo {
     int id;
-    Feature routing_feature;
+    const Feature* routing_feature;
     double covering_radius;
     long long population;
   };
@@ -56,12 +59,16 @@ struct NodeState {
   long long population = 0;    // Own cluster size (leaders only).
   struct BackboneChildInfo {
     int id;
-    Feature feature;
+    const Feature* feature;
     double subtree_radius;
     long long subtree_population;
   };
   std::vector<BackboneChildInfo> backbone_children;
 };
+
+namespace {
+
+using NodeState = DistributedRangeQuery::NodeState;
 
 /// Shared run context.
 struct QueryContext {
@@ -85,8 +92,8 @@ struct QueryContext {
 
 class QueryNode : public proto::ProtocolNode {
  public:
-  QueryNode(const NodeState* state, QueryContext* ctx)
-      : state_(state), ctx_(ctx) {
+  QueryNode(const NodeState* state, const Feature* feature, QueryContext* ctx)
+      : state_(state), ctx_(ctx), feature_(feature) {
     if (ctx_->reliable) {
       // An exhausted retry budget needs no give-up callback here: the
       // destination (or a relay to it) is dead, and the waiting aggregation
@@ -167,8 +174,6 @@ class QueryNode : public proto::ProtocolNode {
       Send(state_->tree_parent, m);
     }
   }
-
-  void set_feature(Feature f) { feature_ = std::move(f); }
 
  protected:
   void OnProtocolTimer(int timer_id) override {
@@ -256,7 +261,7 @@ class QueryNode : public proto::ProtocolNode {
     ArmDeadline(budget);
 
     // Own cluster screen (Section 7.2) with the exact root-ball radius.
-    const double d_root = Dist(ctx_->q, feature_);
+    const double d_root = Dist(ctx_->q, *feature_);
     if (screen::BallOutOfRange(d_root, ctx_->r, state_->root_ball)) {
       // Excluded: contributes nothing.
     } else if (screen::BallInRange(d_root, ctx_->r, state_->root_ball)) {
@@ -268,7 +273,7 @@ class QueryNode : public proto::ProtocolNode {
 
     // Backbone children via the cached upper-level summaries.
     for (const auto& child : state_->backbone_children) {
-      const double d_child = Dist(ctx_->q, child.feature);
+      const double d_child = Dist(ctx_->q, *child.feature);
       if (screen::BallOutOfRange(d_child, ctx_->r, child.subtree_radius)) {
         continue;  // Whole subtree excluded, no transmission.
       }
@@ -294,10 +299,10 @@ class QueryNode : public proto::ProtocolNode {
   /// Self-test plus M-tree child decisions (both for leaders starting a
   /// descent and for interior nodes receiving a descend).
   void DescendBody() {
-    const double d_self = Dist(ctx_->q, feature_);
+    const double d_self = Dist(ctx_->q, *feature_);
     if (screen::InRange(d_self, ctx_->r)) ++count_;
     for (const auto& child : state_->mtree_children) {
-      const double d_link = Dist(feature_, child.routing_feature);
+      const double d_link = Dist(*feature_, *child.routing_feature);
       if (screen::ChildOutOfRange(d_self, d_link, ctx_->r,
                                   child.covering_radius)) {
         continue;  // Subtree excluded via the parent-side bound.
@@ -372,7 +377,7 @@ class QueryNode : public proto::ProtocolNode {
 
   const NodeState* state_;
   QueryContext* ctx_;
-  Feature feature_;
+  const Feature* feature_;
 
   bool active_ = false;
   long long count_ = 0;
@@ -399,39 +404,49 @@ DistributedRangeQuery::DistributedRangeQuery(
       options_(std::move(options)),
       upper_(backbone, index, features, *metric_) {}
 
+DistributedRangeQuery::~DistributedRangeQuery() = default;
+
 Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
                                                            const Feature& q,
                                                            double r) {
   if (initiator < 0 || initiator >= topology_.num_nodes()) {
     return Status::InvalidArgument("initiator out of range");
   }
-  if (r < 0) return Status::InvalidArgument("radius must be non-negative");
+  // Negated, so a NaN radius fails it too.
+  if (!(r >= 0)) return Status::InvalidArgument("radius must be non-negative");
   if (q.size() != features_[initiator].size()) {
     return Status::InvalidArgument("query feature has the wrong dimension");
   }
+  if (!IsFinite(q)) {
+    return Status::InvalidArgument("query feature must be finite");
+  }
 
-  // Per-node protocol state.
-  const int n = topology_.num_nodes();
-  std::vector<NodeState> states(n);
-  for (int i = 0; i < n; ++i) {
-    NodeState& s = states[i];
-    s.cluster_root = clustering_.root_of[i];
-    s.tree_parent = index_.parent(i);
-    for (int child : index_.children(i)) {
-      s.mtree_children.push_back(
-          {child, index_.routing_feature(child), index_.covering_radius(child),
-           static_cast<long long>(index_.subtree(child).size())});
-    }
-    if (s.cluster_root == i) {
-      s.is_leader = true;
-      s.is_backbone_root = backbone_.tree_root() == i;
-      s.backbone_parent = backbone_.tree_parent(i);
-      s.root_ball = index_.root_ball_radius(i);
-      s.population = static_cast<long long>(index_.subtree(i).size());
-      for (int child : backbone_.tree_children(i)) {
-        s.backbone_children.push_back(
-            {child, features_[child], upper_.radius(child),
-             static_cast<long long>(upper_.members(child).size())});
+  // Built on the first Run, not in the constructor: an object that never
+  // runs a query holds no per-node state.
+  if (states_.empty()) {
+    const int n = topology_.num_nodes();
+    states_.resize(n);
+    for (int i = 0; i < n; ++i) {
+      NodeState& s = states_[i];
+      s.cluster_root = clustering_.root_of[i];
+      s.tree_parent = index_.parent(i);
+      for (int child : index_.children(i)) {
+        s.mtree_children.push_back(
+            {child, &index_.routing_feature(child),
+             index_.covering_radius(child),
+             static_cast<long long>(index_.subtree(child).size())});
+      }
+      if (s.cluster_root == i) {
+        s.is_leader = true;
+        s.is_backbone_root = backbone_.tree_root() == i;
+        s.backbone_parent = backbone_.tree_parent(i);
+        s.root_ball = index_.root_ball_radius(i);
+        s.population = static_cast<long long>(index_.subtree(i).size());
+        for (int child : backbone_.tree_children(i)) {
+          s.backbone_children.push_back(
+              {child, &features_[child], upper_.radius(child),
+               static_cast<long long>(upper_.members(child).size())});
+        }
       }
     }
   }
@@ -452,15 +467,14 @@ Result<DistributedQueryOutcome> DistributedRangeQuery::Run(int initiator,
   hopt.net.seed = options_.seed;
   hopt.net.fault = options_.fault;
   hopt.net.churn = options_.churn;
+  hopt.net.shared_paths = &paths_;
   // Keeps the clock honest when the query dies en route: the initiator
   // gives up at this time, which is what the reported latency shows.
   hopt.run_horizon = options_.query_deadline;
   proto::RunHarness harness(topology_, hopt);
   harness.set_observer(options_.observer);
   harness.InstallNodes([&](int id) {
-    auto node = std::make_unique<QueryNode>(&states[id], &ctx);
-    node->set_feature(features_[id]);
-    return node;
+    return std::make_unique<QueryNode>(&states_[id], &features_[id], &ctx);
   });
   static_cast<QueryNode*>(harness.net().node(initiator))->Inject();
   const proto::RunHarness::Report report = harness.Run();

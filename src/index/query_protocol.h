@@ -53,9 +53,16 @@ struct DistributedQueryOutcome {
 
 /// \brief Executes range queries as an actual protocol over a Network.
 ///
-/// Construction distributes the index state to the nodes (each node holds
-/// only what Section 7 says it holds); Run() then injects a query at an
-/// initiator and simulates until the answer returns.
+/// Each Run() builds a fresh Network, installs the protocol nodes, injects a
+/// query at an initiator and simulates until the answer returns.  The first
+/// Run distributes the index state to the nodes (each node holds only what
+/// Section 7 says it holds) and the object keeps those slices for every
+/// later Run.  The object also owns one walked-path table and lends it to
+/// every Run's Network (Network::Config::shared_paths), so a leader-to-
+/// leader pair is routed by BFS once per object, not once per query; a run
+/// under churn keeps a private table instead.  Neither is observable: each
+/// Run's outcome, latency and ledger equal a fresh object's.  The inputs
+/// must not change while the object lives.
 class DistributedRangeQuery {
  public:
   /// Execution environment of the queries: delay regime, faults, deadlines.
@@ -92,22 +99,29 @@ class DistributedRangeQuery {
   };
 
   /// `clustering`, `index`, and `backbone` describe the clustered network;
-  /// their per-node slices are copied into the protocol nodes.
+  /// the first Run hands every protocol node its slice of them.  All inputs
+  /// must outlive the object.
   DistributedRangeQuery(const Topology& topology,
                         const Clustering& clustering,
                         const ClusterIndex& index, const Backbone& backbone,
                         const std::vector<Feature>& features,
                         std::shared_ptr<const DistanceMetric> metric,
                         ProtocolOptions options);
+  ~DistributedRangeQuery();
 
   /// Runs one query to completion.  Under fault injection with deadlines
   /// configured the outcome may be flagged partial (`complete == false`)
   /// instead of an error; returns Internal only for genuine protocol bugs
   /// (non-termination without a fault plan, event-cap runaway), and
-  /// InvalidArgument for an initiator out of range, a negative radius, or a
-  /// query feature whose length is not the deployment's feature dimension.
+  /// InvalidArgument for an initiator out of range, a negative or NaN
+  /// radius, or a query feature whose length is not the deployment's
+  /// feature dimension or that has a NaN or infinite component.
   Result<DistributedQueryOutcome> Run(int initiator, const Feature& q,
                                       double r);
+
+  /// One node's slice of the index state; defined and used only inside
+  /// query_protocol.cc.
+  struct NodeState;
 
  private:
   const Topology& topology_;
@@ -120,6 +134,10 @@ class DistributedRangeQuery {
   // Upper-level summaries (leaders would learn these during backbone
   // construction).
   UpperIndex upper_;
+  // Every node's slice, built by the first Run.
+  std::vector<NodeState> states_;
+  // Lent to every Run's Network.
+  WalkedPathTable paths_;
 };
 
 }  // namespace elink

@@ -1,5 +1,6 @@
 #include "metric/distance.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/strings.h"
@@ -15,6 +16,11 @@ std::string FeatureToString(const Feature& f) {
   }
   out += ")";
   return out;
+}
+
+bool IsFinite(const Feature& f) {
+  return std::all_of(f.begin(), f.end(),
+                     [](double c) { return std::isfinite(c); });
 }
 
 WeightedEuclidean::WeightedEuclidean(std::vector<double> weights)

@@ -18,6 +18,9 @@ using Feature = std::vector<double>;
 /// Renders a feature as "(c1, c2, ...)" for diagnostics.
 std::string FeatureToString(const Feature& f);
 
+/// True when no component is NaN or infinite.
+bool IsFinite(const Feature& f);
+
 }  // namespace elink
 
 #endif  // ELINK_METRIC_FEATURE_H_

@@ -46,7 +46,10 @@ Network::Network(Topology topology, Config config)
       churn_(config_.churn, topology_.num_nodes()),
       restart_gen_(topology_.num_nodes(), 0),
       nodes_(topology_.num_nodes()),
-      routes_(topology_.num_nodes()) {
+      routes_(topology_.num_nodes()),
+      paths_(config_.shared_paths != nullptr && !churn_.enabled()
+                 ? config_.shared_paths
+                 : &own_paths_) {
   queue_.SetInlineHandlers(&Network::OnDeliveryEvent, &Network::OnTimerEvent,
                            this);
   if (churn_.enabled()) {
@@ -355,11 +358,36 @@ void Network::Broadcast(int from, Message msg) {
   ReleasePayload(shared);
 }
 
-void Network::InvalidateRoutes() {
-  for (std::unique_ptr<ResumableBfs>& r : routes_) r.reset();
+WalkedPathTable::Path WalkedPathTable::Record(int to, int from,
+                                             const ResumableBfs& route) {
+  Path path;
+  if (route.parent(from) >= 0) {
+    path.first = static_cast<uint32_t>(nodes_.size());
+    for (int cur = from; cur != to;) {
+      cur = route.parent(cur);
+      nodes_.push_back(cur);
+    }
+    path.hops = static_cast<int>(nodes_.size() - path.first);
+  }
+  paths_.emplace(Key(to, from), path);
+  return path;
 }
 
-const ResumableBfs& Network::TableFor(int to, int from) {
+void WalkedPathTable::Clear() {
+  paths_.clear();
+  nodes_.clear();
+}
+
+void Network::InvalidateRoutes() {
+  for (std::unique_ptr<ResumableBfs>& r : routes_) r.reset();
+  // Under churn the table is always the private one.
+  paths_->Clear();
+}
+
+WalkedPathTable::Path Network::PathFor(int from, int to) {
+  if (const WalkedPathTable::Path* known = paths_->Find(to, from)) {
+    return *known;
+  }
   std::unique_ptr<ResumableBfs>& route = routes_[to];
   if (route == nullptr) {
     route = std::make_unique<ResumableBfs>(num_nodes(), to);
@@ -369,7 +397,7 @@ const ResumableBfs& Network::TableFor(int to, int from) {
   // The mask is empty without churn.
   route->Expand(churn_.enabled() ? live_adjacency_ : topology_.adjacency,
                 absent_, from);
-  return *route;
+  return paths_->Record(to, from, *route);
 }
 
 int Network::SendRouted(int from, int to, Message msg) {
@@ -386,9 +414,8 @@ int Network::SendRouted(int from, int to, Message msg) {
     ScheduleDelivery(0.0, from, to, std::move(msg), mid);
     return 0;
   }
-  const ResumableBfs& route = TableFor(to, from);
-  const int hops = route.HopsToRoot(from);
-  if (hops < 0) {
+  const WalkedPathTable::Path path = PathFor(from, to);
+  if (path.hops < 0) {
     // No path: the deployment is disconnected, or churn partitioned the live
     // graph.  The message is lost and charged once, like any other lost
     // frame; only churn runs count it as a churn drop.
@@ -417,12 +444,12 @@ int Network::SendRouted(int from, int to, Message msg) {
   double delay = 0.0;
   int cur = from;
   int prev = from;
-  while (cur != to) {
-    const int next = route.parent(cur);
+  for (int k = 0; k < path.hops; ++k) {
+    const int next = paths_->node(path.first + k);
     const double hop_delay = NextHopDelay();
     if (!TransmitLeg(cur, next, msg, delay, hop_delay, frame_bytes, mid,
                      /*relay=*/true)) {
-      return hops;
+      return path.hops;
     }
     delay += hop_delay;
     prev = cur;
@@ -434,12 +461,12 @@ int Network::SendRouted(int from, int to, Message msg) {
   }
   // The penultimate node on the path is the sender seen by `to`.
   ScheduleDelivery(delay, prev, to, std::move(msg), mid);
-  return hops;
+  return path.hops;
 }
 
 int Network::HopDistance(int from, int to) {
   if (from == to) return 0;
-  return TableFor(to, from).HopsToRoot(from);
+  return PathFor(from, to).hops;
 }
 
 void Network::SetTimer(int id, double delay, int timer_id) {

@@ -8,10 +8,12 @@
 #ifndef ELINK_SIM_NETWORK_H_
 #define ELINK_SIM_NETWORK_H_
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,6 +30,51 @@
 namespace elink {
 
 class Network;
+
+/// \brief The routed paths a Network has walked, keyed by (destination,
+/// source).
+///
+/// SendRouted and HopDistance look their pair up here first.  On a miss the
+/// Network expands the destination's routing BFS and records the pair's
+/// parent walk, or that it has none.  A path depends only on the adjacency
+/// and absence mask it was walked over, never on a run's seed, faults or
+/// timing, so a table may outlive the Network that filled it and serve the
+/// next Network over the same topology (Network::Config::shared_paths).  It
+/// holds one int per hop of each recorded pair and is cleared only by its
+/// owner.
+class WalkedPathTable {
+ public:
+  /// One recorded pair: `hops` is the path length, -1 when there is no
+  /// path; node(first + k) is the node hop k arrives at, the destination
+  /// last.
+  struct Path {
+    uint32_t first = 0;
+    int hops = -1;
+  };
+
+  /// The recorded path from `from` to `to`; nullptr when never walked.
+  const Path* Find(int to, int from) const {
+    auto it = paths_.find(Key(to, from));
+    return it == paths_.end() ? nullptr : &it->second;
+  }
+
+  /// Records the parent walk from `from` to `route`'s root `to` (no path
+  /// when `from` is undiscovered) and returns it.
+  Path Record(int to, int from, const ResumableBfs& route);
+
+  int node(uint32_t i) const { return nodes_[i]; }
+  size_t pairs() const { return paths_.size(); }
+  void Clear();
+
+ private:
+  static uint64_t Key(int to, int from) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(to)) << 32 |
+           static_cast<uint32_t>(from);
+  }
+
+  std::unordered_map<uint64_t, Path> paths_;
+  std::vector<int> nodes_;
+};
 
 /// \brief Base class for protocol logic running on one sensor node.
 ///
@@ -100,6 +147,13 @@ class Network {
     /// link add/remove).  The default plan is inert: the topology is frozen
     /// and the run is byte-identical to a build without the churn layer.
     ChurnPlan churn;
+    /// A walked-path table lent by a caller that runs Network after Network
+    /// over one topology, so each pair is routed once across all of them.
+    /// Not owned; every Network it is lent to must have the same topology,
+    /// and only one may use it at a time.  Ignored under churn, whose paths
+    /// change at every churn event: such a run keeps a private table.  Null
+    /// (the default): the Network keeps a private table.
+    WalkedPathTable* shared_paths = nullptr;
   };
 
   Network(Topology topology, Config config);
@@ -140,7 +194,10 @@ class Network {
   /// Sends `msg` from `from` to an arbitrary node `to` along a shortest hop
   /// path; intermediate nodes relay without processing.  Each hop is charged
   /// like a Send.  Used for quadtree parent/child signalling and query
-  /// routing, whose endpoints need not be radio neighbors.
+  /// routing, whose endpoints need not be radio neighbors.  The path is the
+  /// one the walked-path table holds for (to, from); a pair's first call
+  /// expands `to`'s routing BFS and records it there.  Either way the walk
+  /// draws the same per-hop delays and loss decisions.
   /// Returns the hop length of the chosen path, whether or not the message
   /// survives it: a hop lost mid-route ends the journey (the hops before it
   /// stay charged) but still returns the full path length.  Returns 0 for
@@ -152,7 +209,8 @@ class Network {
   int SendRouted(int from, int to, Message msg);
 
   /// Hop distance between two nodes along the path SendRouted would take
-  /// right now; -1 if there is none.
+  /// right now; -1 if there is none.  Looks up, or records, the same
+  /// walked-path table entry as SendRouted.
   int HopDistance(int from, int to);
 
   /// Schedules HandleTimer(timer_id) on node `id` after `delay`.
@@ -259,10 +317,12 @@ class Network {
   void ReleasePayload(Payload* p);
 
   double NextHopDelay();
-  /// The routing BFS towards `to`, expanded until `from` is discovered (or
-  /// found unreachable).  Its parents are the next hops towards `to`.
-  const ResumableBfs& TableFor(int to, int from);
-  /// Drops every routing BFS; called on every churn event.
+  /// The walked path from `from` to `to` (from != to): the table's entry,
+  /// recorded on the pair's first call from the routing BFS towards `to`,
+  /// expanded until `from` is discovered (or found unreachable).
+  WalkedPathTable::Path PathFor(int from, int to);
+  /// Drops every routing BFS and clears the private walked-path table;
+  /// called on every churn event.
   void InvalidateRoutes();
   /// True when (from, to) is an edge of the *current* (churn-edited)
   /// adjacency.  Only meaningful while churn is enabled.
@@ -347,6 +407,10 @@ class Network {
   // destination node id: created on a destination's first routed call and
   // expanded only as far as the sources asked about so far.
   std::vector<std::unique_ptr<ResumableBfs>> routes_;
+  // The walked-path table SendRouted and HopDistance read: the lent one
+  // (Config::shared_paths) in a run without churn, else `own_paths_`.
+  WalkedPathTable own_paths_;
+  WalkedPathTable* paths_;
   // Churn only: 1 for nodes absent right now (ChurnSchedule::IsAbsent at
   // Now()).  Presence, timer suppression and routing (which never relays
   // through an absent node) all read it.  Absence changes only at churn

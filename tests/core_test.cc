@@ -183,23 +183,43 @@ TEST(ClusteredNetworkTest, EngineQueriesRejectWhatTheProtocolsReject) {
   auto& net = *net_r.value();
   const Feature q = ds.features[0];
   const Feature wrong_dim = {1.0, 2.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Feature nan_q = {nan};
+  const Feature inf_q = {inf};
   const uint64_t units = net.total_stats().total_units();
   for (const Status& s :
        {net.RangeQuery(0, wrong_dim, 1.0).status(),
         net.RangeQuery(-1, q, 1.0).status(),
         net.RangeQuery(200, q, 1.0).status(),
         net.RangeQuery(0, q, -1.0).status(),
+        net.RangeQuery(0, q, nan).status(),
+        net.RangeQuery(0, nan_q, 1.0).status(),
+        net.RangeQuery(0, inf_q, 1.0).status(),
         net.SafePath(0, 1, wrong_dim, 1.0).status(),
         net.SafePath(-1, 1, q, 1.0).status(),
         net.SafePath(0, 200, q, 1.0).status(),
-        net.SafePath(0, 1, q, -1.0).status()}) {
+        net.SafePath(0, 1, q, -1.0).status(),
+        net.SafePath(0, 1, q, nan).status(),
+        net.SafePath(0, 1, nan_q, 1.0).status(),
+        net.SafePath(0, 1, inf_q, 1.0).status()}) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
   }
   // A refused query sends nothing.
   EXPECT_EQ(net.total_stats().total_units(), units);
   // The distributed runs refuse the same arguments.
-  EXPECT_FALSE(net.RangeQueryDistributed(0, wrong_dim, 1.0).ok());
-  EXPECT_FALSE(net.SafePathDistributed(0, 1, q, -1.0).ok());
+  for (const Status& s :
+       {net.RangeQueryDistributed(0, wrong_dim, 1.0).status(),
+        net.RangeQueryDistributed(0, q, nan).status(),
+        net.RangeQueryDistributed(0, nan_q, 1.0).status(),
+        net.RangeQueryDistributed(0, inf_q, 1.0).status(),
+        net.SafePathDistributed(0, 1, q, -1.0).status(),
+        net.SafePathDistributed(0, 1, q, nan).status(),
+        net.SafePathDistributed(0, 1, nan_q, 1.0).status(),
+        net.SafePathDistributed(0, 1, inf_q, 1.0).status()}) {
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+  EXPECT_EQ(net.total_stats().total_units(), units);
 }
 
 // Both used to reach MaintenanceSession's constructor checks and abort.

@@ -1,10 +1,14 @@
 // Tests for the distributed path-query protocol: per-category cost parity
 // with the centralized PathQueryEngine accounting model, identical outcomes
-// on synchronous and asynchronous networks, and graceful handling of
-// truncated messages.
+// on synchronous and asynchronous networks, graceful handling of truncated
+// messages, argument checks, and one object reused across queries answering
+// exactly as fresh objects do.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/elink.h"
 #include "common/rng.h"
@@ -210,6 +214,92 @@ TEST(PathProtocolTest, RejectsBadEndpoints) {
       protocol.Run(0, 1, Feature{1.0, 2.0}, 1.0);
   ASSERT_FALSE(wrong_dim.ok());
   EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
+  // NaN fails every comparison, so it used to pass the sign test and come
+  // back OK with no path.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Result<PathQueryResult>& bad :
+       {protocol.Run(0, 1, fx.ds.features[0], nan),
+        protocol.Run(0, 1, Feature{nan}, 1.0),
+        protocol.Run(0, 1, Feature{inf}, 1.0),
+        protocol.Run(0, 1, Feature{-inf}, 1.0)}) {
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Every counter of every ledger category, rendered for comparison.
+std::string Ledger(const MessageStats& stats) {
+  std::string out;
+  for (const MessageStats::CategorySnapshot& c : stats.Snapshot()) {
+    out += c.category;
+    for (uint64_t v : {c.units, c.sends, c.bytes, c.dropped_units,
+                       c.dropped_sends, c.dropped_bytes, c.decode_errors}) {
+      out += ' ';
+      out += std::to_string(v);
+    }
+    out += ";";
+  }
+  return out;
+}
+
+// One object keeps its node state and lends one walked-path table to every
+// Run.  Run a list of queries through it, then the same list reversed (so
+// the second pass starts on pairs the first pass routed last), and compare
+// each outcome with a fresh object's: the sharing must be unobservable.
+TEST(PathProtocolTest, ReusedObjectMatchesFreshObjects) {
+  PathFixture fx = PathFixture::Make(Terrain(), 0.22);
+  const int n = fx.ds.topology.num_nodes();
+  struct Ask {
+    int source;
+    int destination;
+    Feature danger;
+    double gamma;
+  };
+  std::vector<Ask> asks;
+  Rng rng(19);
+  for (int k = 0; k < 10; ++k) {
+    asks.push_back({static_cast<int>(rng.UniformInt(n)),
+                    static_cast<int>(rng.UniformInt(n)),
+                    fx.ds.features[rng.UniformInt(n)],
+                    rng.Uniform(0.2, 1.5) * fx.delta});
+  }
+  std::vector<Ask> order = asks;
+  order.insert(order.end(), asks.rbegin(), asks.rend());
+
+  PathProtocolOptions async_clean;
+  async_clean.synchronous = false;
+  async_clean.seed = 99;
+  // Loss and truncation on an asynchronous network: lost waves and
+  // undecodable frames draw on the fault RNG stream.
+  PathProtocolOptions faulty = async_clean;
+  faulty.fault.drop_probability = 0.02;
+  faulty.fault.truncate_probability = 0.05;
+  int found = 0, dropped = 0;
+  for (const auto& options : {async_clean, faulty}) {
+    DistributedPathQuery reused = fx.MakeProtocol(options);
+    for (size_t i = 0; i < order.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "query " << i << " faulty "
+                                      << options.fault.enabled());
+      const Ask& a = order[i];
+      const Result<PathQueryResult> got =
+          reused.Run(a.source, a.destination, a.danger, a.gamma);
+      const Result<PathQueryResult> want = fx.MakeProtocol(options).Run(
+          a.source, a.destination, a.danger, a.gamma);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(got.value().found, want.value().found);
+      EXPECT_EQ(got.value().path, want.value().path);
+      EXPECT_EQ(got.value().clusters_safe, want.value().clusters_safe);
+      EXPECT_EQ(got.value().clusters_unsafe, want.value().clusters_unsafe);
+      EXPECT_EQ(got.value().clusters_drilled, want.value().clusters_drilled);
+      EXPECT_EQ(Ledger(got.value().stats), Ledger(want.value().stats));
+      found += want.value().found;
+      dropped += want.value().stats.dropped_sends() > 0;
+    }
+  }
+  // Both the search phase and the fault plan were exercised.
+  EXPECT_GT(found, 0);
+  EXPECT_GT(dropped, 0);
 }
 
 }  // namespace

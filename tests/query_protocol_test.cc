@@ -1,9 +1,13 @@
 // Tests for the fully distributed range-query protocol: exact counts on
 // synchronous and asynchronous networks, agreement with the centralized
-// engine's cost model, and latency sanity.
+// engine's cost model, latency sanity, argument checks, and one object
+// reused across queries answering exactly as fresh objects do.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cluster/elink.h"
 #include "common/rng.h"
@@ -48,6 +52,10 @@ struct ProtocolFixture {
     DistributedRangeQuery::ProtocolOptions options;
     options.synchronous = synchronous;
     options.seed = seed;
+    return MakeProtocol(options);
+  }
+  DistributedRangeQuery MakeProtocol(
+      const DistributedRangeQuery::ProtocolOptions& options) const {
     return DistributedRangeQuery(ds.topology, clustering, *index, *backbone,
                                  ds.features, ds.metric, options);
   }
@@ -197,6 +205,102 @@ TEST(QueryProtocolTest, RejectsBadArguments) {
       protocol.Run(0, Feature{1.0, 2.0}, 1.0);
   ASSERT_FALSE(wrong_dim.ok());
   EXPECT_EQ(wrong_dim.status().code(), StatusCode::kInvalidArgument);
+  // NaN fails every comparison, so it used to pass the sign test and come
+  // back OK with 0 matches.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Result<DistributedQueryOutcome>& bad :
+       {protocol.Run(0, fx.ds.features[0], nan),
+        protocol.Run(0, Feature{nan}, 1.0),
+        protocol.Run(0, Feature{inf}, 1.0),
+        protocol.Run(0, Feature{-inf}, 1.0)}) {
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Every counter of every ledger category, rendered for comparison.
+std::string Ledger(const MessageStats& stats) {
+  std::string out;
+  for (const MessageStats::CategorySnapshot& c : stats.Snapshot()) {
+    out += c.category;
+    for (uint64_t v : {c.units, c.sends, c.bytes, c.dropped_units,
+                       c.dropped_sends, c.dropped_bytes, c.decode_errors}) {
+      out += ' ';
+      out += std::to_string(v);
+    }
+    out += ";";
+  }
+  return out;
+}
+
+// One object keeps its node state and lends one walked-path table to every
+// Run.  Run a list of queries through it, then the same list reversed (so
+// the second pass starts on pairs the first pass routed last), and compare
+// each outcome with a fresh object's: the sharing must be unobservable.
+TEST(QueryProtocolTest, ReusedObjectMatchesFreshObjects) {
+  ProtocolFixture fx = ProtocolFixture::Make(Terrain(), 0.22);
+  const int n = fx.ds.topology.num_nodes();
+  struct Ask {
+    int initiator;
+    Feature q;
+    double r;
+  };
+  std::vector<Ask> asks;
+  Rng rng(17);
+  for (int k = 0; k < 10; ++k) {
+    asks.push_back({static_cast<int>(rng.UniformInt(n)),
+                    fx.ds.features[rng.UniformInt(n)],
+                    rng.Uniform(0.1, 1.1) * fx.delta});
+  }
+  std::vector<Ask> order = asks;
+  order.insert(order.end(), asks.rbegin(), asks.rend());
+
+  DistributedRangeQuery::ProtocolOptions async_clean;
+  async_clean.synchronous = false;
+  async_clean.seed = 99;
+  // Loss and a crashed leader on an asynchronous network, carried over the
+  // reliable transport with deadlines: retransmissions and partial answers
+  // draw on the fault RNG stream.
+  int victim = -1;
+  for (int leader : fx.backbone->leaders()) {
+    if (leader != fx.backbone->tree_root()) victim = leader;
+  }
+  ASSERT_GE(victim, 0);
+  DistributedRangeQuery::ProtocolOptions faulty = async_clean;
+  faulty.fault.drop_probability = 0.1;
+  faulty.fault.node_crashes.push_back({victim, 0.0});
+  faulty.reliable_transport = true;
+  faulty.reliable.rto = 30.0;
+  faulty.reliable.max_retries = 3;
+  faulty.node_deadline = 400.0;
+  faulty.query_deadline = 4000.0;
+  int dropped = 0, partial = 0;
+  for (const auto& options : {async_clean, faulty}) {
+    DistributedRangeQuery reused = fx.MakeProtocol(options);
+    for (size_t i = 0; i < order.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "query " << i << " faulty "
+                                      << options.fault.enabled());
+      const Ask& a = order[i];
+      const Result<DistributedQueryOutcome> got =
+          reused.Run(a.initiator, a.q, a.r);
+      const Result<DistributedQueryOutcome> want =
+          fx.MakeProtocol(options).Run(a.initiator, a.q, a.r);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_EQ(got.value().match_count, want.value().match_count);
+      EXPECT_EQ(got.value().latency, want.value().latency);
+      EXPECT_EQ(got.value().complete, want.value().complete);
+      EXPECT_EQ(got.value().unreachable_subtrees,
+                want.value().unreachable_subtrees);
+      EXPECT_EQ(got.value().answer_received, want.value().answer_received);
+      EXPECT_EQ(Ledger(got.value().stats), Ledger(want.value().stats));
+      dropped += want.value().stats.dropped_sends() > 0;
+      partial += !want.value().complete;
+    }
+  }
+  // The fault plan really bit.
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(partial, 0);
 }
 
 }  // namespace

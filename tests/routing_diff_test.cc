@@ -1,5 +1,6 @@
 // Differential tests of the early-exit routing layer against the eager
-// references it replaced: Network's per-destination resumable BFS against a
+// references it replaced: Network's per-destination resumable BFS and its
+// walked-path table (private, or lent to Network after Network) against a
 // RoutingTable over the same live, present-filtered adjacency (hop by hop,
 // with and without churn), ResumableBfs against BfsTreeParents, and the
 // Backbone's heap-built Prim tree and per-edge hop counts against a
@@ -274,11 +275,13 @@ void CheckRoutedSend(Network* net, HopRecorder* rec, int from, int to,
 }
 
 std::unique_ptr<Network> MakeSinkNetwork(Topology t, const ChurnPlan& churn,
-                                         bool synchronous, uint64_t seed) {
+                                         bool synchronous, uint64_t seed,
+                                         WalkedPathTable* lent = nullptr) {
   Network::Config cfg;
   cfg.synchronous = synchronous;
   cfg.seed = seed;
   cfg.churn = churn;
+  cfg.shared_paths = lent;
   auto net = std::make_unique<Network>(std::move(t), cfg);
   net->InstallNodes([](int) { return std::make_unique<SinkNode>(); });
   return net;
@@ -395,14 +398,15 @@ ChurnPlan RandomChurn(const Topology& t, int events, Rng* rng) {
 // churn events' own timestamps, in a synchronous run) and in between.
 void RunChurnDifferential(Topology t, const ChurnPlan& churn,
                           bool synchronous, int sends, uint64_t seed,
-                          RoutedCounts* counts) {
+                          RoutedCounts* counts,
+                          WalkedPathTable* lent = nullptr) {
   const int n = t.num_nodes();
   // Near pairs go out in bursts at one instant each, so a destination's
   // sources share one churn epoch and its route grows step by step.
   Rng near_rng(seed + 1000);
   const std::vector<std::pair<int, int>> near =
       NearPairs(t.adjacency, sends / 4, &near_rng);
-  auto net = MakeSinkNetwork(std::move(t), churn, synchronous, seed);
+  auto net = MakeSinkNetwork(std::move(t), churn, synchronous, seed, lent);
   HopRecorder rec;
   net->set_observer(&rec);
   Network* raw = net.get();
@@ -524,6 +528,125 @@ TEST(RoutingDiffTest, DisconnectedDeploymentDropsInsteadOfAborting) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(static_cast<SinkNode*>(net->node(i))->received, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One walked-path table lent to Network after Network.
+
+// Several Networks over one topology share a table, each asking in a new
+// order: the old pairs again, new sources for destinations an earlier
+// Network routed, and new pairs, with HopDistance before or after
+// SendRouted.  Every hop must match RoutingTable, and the table must hold
+// each distinct pair once.
+TEST(RoutingDiffTest, LentTableServesLaterNetworksHopByHop) {
+  Rng rng(41);
+  std::vector<Topology> topologies;
+  for (int n : {20, 400, 2500}) topologies.push_back(RandomDisk(n, 5 * n));
+  topologies.push_back(MakeGridTopology(30, 30));
+  for (const Topology& t : topologies) {
+    const int n = t.num_nodes();
+    WalkedPathTable lent;
+    std::vector<std::pair<int, int>> asked;
+    std::set<std::pair<int, int>> distinct;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::pair<int, int>> pairs = asked;
+      for (size_t k = 0; k < asked.size() / 4; ++k) {
+        const int to = asked[rng.UniformInt(asked.size())].second;
+        const int from = static_cast<int>(rng.UniformInt(n));
+        if (from != to) pairs.emplace_back(from, to);
+      }
+      for (const auto& pair : NearPairs(t.adjacency, 20, &rng)) {
+        pairs.push_back(pair);
+      }
+      for (const auto& pair : RandomPairs(n, 40, &rng)) pairs.push_back(pair);
+      for (size_t i = pairs.size(); i > 1; --i) {
+        std::swap(pairs[i - 1], pairs[rng.UniformInt(i)]);
+      }
+      auto net = MakeSinkNetwork(t, {}, /*synchronous=*/round % 2 == 0,
+                                 n + round, &lent);
+      HopRecorder rec;
+      net->set_observer(&rec);
+      RoutedCounts counts;
+      for (const auto& [from, to] : pairs) {
+        CheckRoutedSend(net.get(), &rec, from, to, rng.Bernoulli(0.5),
+                        &counts);
+        distinct.emplace(from, to);
+      }
+      net->Run();
+      EXPECT_EQ(counts.unreachable, 0);
+      EXPECT_EQ(net->stats().dropped_sends(), 0u);
+      EXPECT_EQ(lent.pairs(), distinct.size()) << "round " << round;
+      asked.assign(distinct.begin(), distinct.end());
+    }
+  }
+}
+
+// A pair with no path is recorded as such, and a later Network that asks
+// it again drops the send exactly as the first one did.
+TEST(RoutingDiffTest, LentTableKeepsNoPathPairsAcrossNetworks) {
+  // Two components, {0, 1, 2} and {3, 4}, and no churn.
+  Topology t = MakeGridTopology(1, 5);
+  t.adjacency = {{1}, {0, 2}, {1}, {4}, {3}};
+  std::vector<std::pair<int, int>> pairs = {{0, 4}, {4, 0}, {2, 3},
+                                            {0, 2}, {3, 4}, {1, 4}};
+  WalkedPathTable lent;
+  for (int round = 0; round < 3; ++round) {
+    auto net = MakeSinkNetwork(t, {}, /*synchronous=*/true, 1, &lent);
+    HopRecorder rec;
+    net->set_observer(&rec);
+    RoutedCounts counts;
+    for (const auto& [from, to] : pairs) {
+      CheckRoutedSend(net.get(), &rec, from, to, round == 1, &counts);
+    }
+    net->Run();
+    EXPECT_EQ(counts.unreachable, 4);
+    EXPECT_EQ(net->stats().dropped_sends(), 4u);
+    EXPECT_EQ(net->churn_drops(), 0u);
+    EXPECT_EQ(static_cast<SinkNode*>(net->node(4))->received, 1);
+    std::reverse(pairs.begin(), pairs.end());
+  }
+  EXPECT_EQ(lent.pairs(), 6u);
+}
+
+// A churn run's paths change at every churn event, so a Network with a
+// churn plan must ignore a lent table: it neither reads the static paths
+// stored there (every hop is checked against the live graph) nor writes
+// or clears them.
+TEST(RoutingDiffTest, ChurnRunIgnoresALentTable) {
+  Rng rng(57);
+  RoutedCounts counts;
+  std::vector<Topology> topologies = {RandomDisk(30, 301), RandomDisk(150, 151),
+                                      MakeGridTopology(12, 12)};
+  for (const Topology& t : topologies) {
+    const int n = t.num_nodes();
+    // Every static path of the topology.
+    WalkedPathTable lent;
+    auto filler = MakeSinkNetwork(t, {}, /*synchronous=*/true, 1, &lent);
+    for (int to = 0; to < n; ++to) {
+      for (int from = 0; from < n; ++from) {
+        if (from != to) filler->HopDistance(from, to);
+      }
+    }
+    ASSERT_EQ(lent.pairs(), static_cast<size_t>(n) * (n - 1));
+    for (bool synchronous : {true, false}) {
+      RunChurnDifferential(t, RandomChurn(t, n / 4, &rng), synchronous, 300,
+                           n + synchronous, &counts, &lent);
+      EXPECT_EQ(lent.pairs(), static_cast<size_t>(n) * (n - 1));
+    }
+    // The static paths are still intact.
+    auto later = MakeSinkNetwork(t, {}, /*synchronous=*/true, 2, &lent);
+    HopRecorder rec;
+    later->set_observer(&rec);
+    RoutedCounts static_counts;
+    for (const auto& [from, to] : RandomPairs(n, 100, &rng)) {
+      CheckRoutedSend(later.get(), &rec, from, to, rng.Bernoulli(0.5),
+                      &static_counts);
+    }
+    EXPECT_EQ(static_counts.unreachable, 0);
+  }
+  // The plans really exercised the churn paths.
+  EXPECT_GT(counts.unreachable, 0);
+  EXPECT_GT(counts.dropped_en_route, 0);
 }
 
 // ---------------------------------------------------------------------------

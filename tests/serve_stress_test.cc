@@ -67,7 +67,9 @@ TEST(ServeStressTest, ConcurrentClientsDuringPublishesAndEviction) {
           } else {
             const ServedPath p = session.frontend().SafePath(
                 op.source, op.destination, op.feature, op.scalar);
-            if (!p.answer.found) EXPECT_TRUE(p.answer.path.empty());
+            if (!p.answer.found) {
+              EXPECT_TRUE(p.answer.path.empty());
+            }
           }
         }
         ++pass;
