@@ -5,9 +5,13 @@
 //
 // Writes a small JSON report (BENCH_simcore.json by default, override with
 // --out or the ELINK_BENCH_JSON cache variable at configure time):
-//   events_per_sec           inline delivery flood: refcounted payloads
-//                            dispatched through the bulk bucket drain — the
-//                            simulator's real message hot path
+//   events_per_sec           inline delivery flood on the synchronous
+//                            network: refcounted payloads, each round's
+//                            deliveries sharing one timestamp
+//   async_events_per_sec     the same flood on the asynchronous network:
+//                            U(0.5, 1.5) hop delays and ~2,400 deliveries
+//                            in flight, nearly all at distinct times (the
+//                            shape of explicit ELink)
 //   callback_events_per_sec  closure flood (payload-carrying callbacks
 //                            drained one event per RunAll(1)), kept for
 //                            continuity with earlier baselines
@@ -22,7 +26,7 @@
 // `--check-against <baseline.json>` compares this run against a committed
 // report (the repo keeps one at the root as BENCH_simcore.json) and exits
 // non-zero when events/sec or sends/sec regressed more than 10% — the PR
-// perf gate.
+// perf gate.  async_events_per_sec is reported, not gated.
 //
 // The wire-format codec gets the same treatment: `--wire-frames N` scales an
 // encode+decode throughput loop over a representative message mix, the
@@ -41,6 +45,7 @@
 #endif
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "proto/wire.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
@@ -73,16 +78,17 @@ struct FloodPayload {
 };
 
 /// Floods the queue with inline delivery events over one shared refcounted
-/// payload — the shape of the Network's message path: POD enqueue,
-/// bucket-at-a-time drain, refcount release.  The handler re-schedules
-/// (one more reference + enqueue) at a constant hop delay, exactly
-/// like the synchronous regime (Section 4: every hop takes one time unit),
-/// so whole rounds of deliveries land in shared buckets and drain through
-/// the bulk-synchronous fast path; the queue holds a steady few hundred
-/// in-flight deliveries throughout.
+/// payload — the shape of the Network's message path: POD enqueue, drain,
+/// refcount release.  The handler re-schedules (one more reference +
+/// enqueue) after the next of `delays`, cycled.  The synchronous flood's
+/// one constant delay (Section 4: every hop takes one time unit) puts each
+/// round's few hundred deliveries on one timestamp; the asynchronous
+/// flood's U(0.5, 1.5) draws (Section 5) put nearly every delivery on a
+/// timestamp of its own.
 struct DeliveryFloodCtx {
   EventQueue* q = nullptr;
   FloodPayload* payload = nullptr;
+  const std::vector<double>* delays = nullptr;
   uint64_t fired = 0;       // Dispatched deliveries.
   uint64_t remaining = 0;   // Re-schedules still allowed.
   uint64_t accum = 0;       // Defeats dead-code elimination.
@@ -96,7 +102,9 @@ void OnFloodDelivery(void* ctx, int from, int to, void* payload) {
   if (c->remaining > 0) {
     --c->remaining;
     ++c->payload->refs;
-    c->q->ScheduleDeliveryAfter(0.5, static_cast<int>(c->fired & 63),
+    const std::vector<double>& delays = *c->delays;
+    c->q->ScheduleDeliveryAfter(delays[c->fired % delays.size()],
+                                static_cast<int>(c->fired & 63),
                                 static_cast<int>(c->fired & 7), c->payload);
   }
   --p->refs;
@@ -104,7 +112,9 @@ void OnFloodDelivery(void* ctx, int from, int to, void* payload) {
 
 void OnFloodTimer(void*, int, int, uint64_t) {}
 
-FloodOutcome DeliveryFlood(uint64_t num_events) {
+/// Runs `num_events` deliveries of `chains` concurrent chains.
+FloodOutcome DeliveryFlood(uint64_t num_events, int chains,
+                           const std::vector<double>& delays) {
   EventQueue q;
   FloodPayload payload;
   payload.msg.category = CategoryIdOf<"perf.flood">();
@@ -113,13 +123,14 @@ FloodOutcome DeliveryFlood(uint64_t num_events) {
   DeliveryFloodCtx ctx;
   ctx.q = &q;
   ctx.payload = &payload;
+  ctx.delays = &delays;
   q.SetInlineHandlers(&OnFloodDelivery, &OnFloodTimer, &ctx);
-  // Seed chains across a few "rounds" so several buckets are live at once.
-  const int kChains = 256;
-  ctx.remaining = num_events > static_cast<uint64_t>(kChains)
-                      ? num_events - kChains
+  // Seed the chains across a few "rounds" so several times are live at
+  // once.
+  ctx.remaining = num_events > static_cast<uint64_t>(chains)
+                      ? num_events - static_cast<uint64_t>(chains)
                       : 0;
-  for (int i = 0; i < kChains; ++i) {
+  for (int i = 0; i < chains; ++i) {
     ++payload.refs;
     q.ScheduleDeliveryAfter(static_cast<double>(i & 7) * 0.125, i, i & 7,
                             ctx.payload);
@@ -135,6 +146,14 @@ FloodOutcome DeliveryFlood(uint64_t num_events) {
   out.peak_queue_size = q.PeakSize();
   if (ctx.accum == UINT64_MAX) std::printf("impossible\n");
   return out;
+}
+
+FloodOutcome AsyncDeliveryFlood(uint64_t num_events) {
+  // Pre-drawn, so the flood times the queue rather than the generator.
+  Rng rng(42);
+  std::vector<double> delays(4096);
+  for (double& d : delays) d = rng.Uniform(0.5, 1.5);
+  return DeliveryFlood(num_events, /*chains=*/2400, delays);
 }
 
 /// Closure flood: callbacks that carry a realistic payload (the Network's
@@ -413,13 +432,15 @@ int main(int argc, char** argv) {
                                         2'000'000);
   const std::string out_path = OutPath(argc, argv);
 
-  const FloodOutcome flood = DeliveryFlood(num_events);
+  const FloodOutcome flood = DeliveryFlood(num_events, /*chains=*/256, {0.5});
+  const FloodOutcome async_flood = AsyncDeliveryFlood(num_events);
   const FloodOutcome legacy = EventFlood(num_events);
   const double sends_per_sec = SendFlood(num_sends);
   const WireOutcome wire = WireBench(num_frames);
   const size_t peak_rss_kb = PeakRssKb();
 
   std::printf("events/sec          %12.0f\n", flood.events_per_sec);
+  std::printf("async events/sec    %12.0f\n", async_flood.events_per_sec);
   std::printf("callback events/sec %12.0f\n", legacy.events_per_sec);
   std::printf("sends/sec           %12.0f\n", sends_per_sec);
   std::printf("encode frames/sec   %12.0f (%.0f MB/s)\n",
@@ -441,6 +462,7 @@ int main(int argc, char** argv) {
                "  \"events\": %llu,\n"
                "  \"sends\": %llu,\n"
                "  \"events_per_sec\": %.0f,\n"
+               "  \"async_events_per_sec\": %.0f,\n"
                "  \"callback_events_per_sec\": %.0f,\n"
                "  \"sends_per_sec\": %.0f,\n"
                "  \"peak_queue_size\": %zu,\n"
@@ -448,7 +470,8 @@ int main(int argc, char** argv) {
                "}\n",
                machine.c_str(), static_cast<unsigned long long>(num_events),
                static_cast<unsigned long long>(num_sends),
-               flood.events_per_sec, legacy.events_per_sec, sends_per_sec,
+               flood.events_per_sec, async_flood.events_per_sec,
+               legacy.events_per_sec, sends_per_sec,
                flood.peak_queue_size, peak_rss_kb);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());

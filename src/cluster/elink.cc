@@ -35,30 +35,9 @@ struct RunContext {
 /// One sensor node running ELink.  See elink.h for the protocol overview.
 class ElinkNode : public proto::ProtocolNode {
  public:
-  explicit ElinkNode(RunContext* ctx) : ctx_(ctx) {
+  explicit ElinkNode(RunContext* ctx)
+      : ProtocolNode(Handlers()), ctx_(ctx) {
     if (ctx_->reliable) EnableReliable(ctx_->config.reliable);
-    OnMsg<w::Expand>(
-        [this](int from, const w::Expand& m) { OnExpand(from, m); });
-    OnMsg<w::Ack1>([this](int, const w::Ack1&) {
-      --pending_;
-      ++children_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Nack>([this](int, const w::Nack&) {
-      --pending_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Ack2>([this](int, const w::Ack2&) {
-      --children_;
-      CheckExpansionComplete();
-    });
-    OnMsg<w::Phase1>([this](int, const w::Phase1& m) {
-      OnPhase1(static_cast<int>(m.round));
-    });
-    OnMsg<w::Phase2>([this](int, const w::Phase2& m) {
-      OnPhase2(static_cast<int>(m.round));
-    });
-    OnMsg<w::Start>([this](int, const w::Start&) { Activate(); });
   }
 
   // -- Clustering state, read out by the driver after the run. ------------
@@ -83,6 +62,37 @@ class ElinkNode : public proto::ProtocolNode {
   }
 
  private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table = [] {
+      proto::HandlerTableFor<ElinkNode> t;
+      t.On<w::Expand>([](ElinkNode& n, int from, const w::Expand& m) {
+        n.OnExpand(from, m);
+      });
+      t.On<w::Ack1>([](ElinkNode& n, int, const w::Ack1&) {
+        --n.pending_;
+        ++n.children_;
+        n.CheckExpansionComplete();
+      });
+      t.On<w::Nack>([](ElinkNode& n, int, const w::Nack&) {
+        --n.pending_;
+        n.CheckExpansionComplete();
+      });
+      t.On<w::Ack2>([](ElinkNode& n, int, const w::Ack2&) {
+        --n.children_;
+        n.CheckExpansionComplete();
+      });
+      t.On<w::Phase1>([](ElinkNode& n, int, const w::Phase1& m) {
+        n.OnPhase1(static_cast<int>(m.round));
+      });
+      t.On<w::Phase2>([](ElinkNode& n, int, const w::Phase2& m) {
+        n.OnPhase2(static_cast<int>(m.round));
+      });
+      t.On<w::Start>([](ElinkNode& n, int, const w::Start&) { n.Activate(); });
+      return t;
+    }();
+    return table;
+  }
+
   bool explicit_mode() const { return ctx_->mode == ElinkMode::kExplicit; }
   int my_level() const { return ctx_->quadtree->level_of(id()); }
   const Feature& my_feature() const { return (*ctx_->features)[id()]; }

@@ -30,184 +30,8 @@ struct MaintContext {
 
 class MaintNode : public proto::ProtocolNode {
  public:
-  explicit MaintNode(MaintContext* ctx) : ctx_(ctx) {
-    OnMsg<w::FetchUp>([this](int, const w::FetchUp& m) {
-      if (root_ == id()) {
-        w::RootFeature reply;
-        reply.feature = feature_;
-        SendRouted(static_cast<int>(m.origin), reply);
-      } else {
-        Send(parent_, m);
-      }
-    });
-    OnMsg<w::RootFeature>([this](int, const w::RootFeature& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields<w::RootFeature>();
-        return;
-      }
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) <= ctx_->config.delta + 1e-12) {
-        verified_ = feature_;  // Still compatible: stay.
-      } else {
-        StartDetach();
-      }
-    });
-    OnMsg<w::Push>([this](int from, const w::Push& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields<w::Push>();
-        return;
-      }
-      // Pushes flow down the tree; under churn, ignore one from anyone but
-      // the current parent (ex-parents race their own Leave/Orphan).
-      if (ctx_->churn_aware && from != parent_) return;
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        // Evicted by the root's drift; children are pushed first so they
-        // hold the fresh root feature when the orphan notice arrives.
-        ForwardPushToChildren(m);
-        StartDetach();
-      } else {
-        RebaseVerified();
-        ForwardPushToChildren(m);
-      }
-    });
-    OnMsg<w::Probe>([this](int from, const w::Probe&) {
-      w::ProbeReply reply;
-      reply.root = root_;
-      reply.settled = probing_ ? 0 : 1;
-      reply.stored_root = stored_root_;
-      Send(from, reply);
-    });
-    OnMsg<w::ProbeReply>([this](int from, const w::ProbeReply& m) {
-      if (m.stored_root.size() != feature_.size()) {
-        RejectBadFields<w::ProbeReply>();
-        return;
-      }
-      // Only the neighbor we are currently waiting on may answer; replies
-      // from an earlier scan (a probe restarted by churn, or a re-detach
-      // with the old reply still in flight) are stale and ignored.
-      if (from != pending_probe_target_) return;
-      OnProbeReply(from, static_cast<int>(m.root), m.settled != 0,
-                   m.stored_root);
-    });
-    OnMsg<w::Leave>([this](int from, const w::Leave&) {
-      children_.erase(std::remove(children_.begin(), children_.end(), from),
-                      children_.end());
-    });
-    OnMsg<w::Attach>([this](int from, const w::Attach&) {
-      children_.push_back(from);
-      if (ctx_->churn_aware) {
-        // Under churn the adopter may have restarted or re-rooted while the
-        // Attach was in flight; echo the authoritative root so the new
-        // child can never be left pointing into a stale tree.
-        w::RootChanged m;
-        m.root = root_;
-        m.feature = stored_root_;
-        Send(from, m);
-      }
-    });
-    OnMsg<w::EpochReport>([this](int, const w::EpochReport& m) {
-      if (root_ == id()) {
-        // End of the custody chain: whatever root the walk reached is the
-        // origin's actual tree root.  A match means the adoption landed in
-        // a live tree (a membership change worth an epoch bump); the ack
-        // lets the origin compare and freshen its stored root feature.
-        if (static_cast<int>(m.root) == id()) BumpEpoch();
-        w::VerifyAck ack;
-        ack.root = id();
-        ack.seq = m.seq;
-        ack.feature = feature_;
-        SendRouted(static_cast<int>(m.origin), ack);
-        return;
-      }
-      if (m.ttl <= 0 || parent_ == id()) {
-        // Hop budget spent without reaching a root (the parent chain cycles
-        // among stale believers), or the chain hit a node that calls itself
-        // parentless while claiming a foreign root (a relabel landed
-        // mid-repair): either way the origin's claim is not backed by a
-        // live tree.
-        w::VerifyGone gone;
-        gone.seq = m.seq;
-        SendRouted(static_cast<int>(m.origin), gone);
-        return;
-      }
-      w::EpochReport fwd = m;
-      fwd.ttl = m.ttl - 1;
-      Send(parent_, fwd);
-    });
-    OnMsg<w::VerifyAck>([this](int, const w::VerifyAck& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields<w::VerifyAck>();
-        return;
-      }
-      if (m.seq != verify_waiting_seq_) return;  // A superseded walk.
-      verify_waiting_seq_ = -1;
-      if (probing_ || root_ == id()) return;
-      if (static_cast<int>(m.root) != root_) {
-        // The chain ended at some other root: our claimed cluster no
-        // longer exists as a tree we belong to.
-        PurgeStale();
-        return;
-      }
-      stored_root_ = m.feature;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        StartDetach();
-      } else {
-        verified_ = feature_;
-      }
-    });
-    OnMsg<w::VerifyGone>([this](int, const w::VerifyGone& m) {
-      if (m.seq != verify_waiting_seq_) return;
-      verify_waiting_seq_ = -1;
-      if (!probing_ && root_ != id()) PurgeStale();
-    });
-    OnMsg<w::Orphan>([this](int from, const w::Orphan&) {
-      // Only the node we currently call parent may orphan us (churn only:
-      // an ex-parent's stale flatten must not dissolve the new subtree).
-      if (ctx_->churn_aware && from != parent_) return;
-      if (!probing_) {
-        // The parent departed.  Flatten: orphan our own subtree too (every
-        // probing node is then a leaf, which keeps adoption acyclic), and
-        // look for a new home, preferring the old cluster.
-        for (int child : children_) Send(child, w::Orphan{});
-        children_.clear();
-        reattach_mode_ = true;
-        old_root_ = root_;
-        StartProbing();
-      }
-    });
-    OnMsg<w::RootChanged>([this](int from, const w::RootChanged& m) {
-      if (m.feature.size() != feature_.size()) {
-        RejectBadFields<w::RootChanged>();
-        return;
-      }
-      // Tree-authority guard (churn only): relabels travel strictly down
-      // the tree, so only the current parent may speak.  A stale copy from
-      // an ex-parent (its Leave still in flight) would otherwise relabel a
-      // detached singleton into root != self with parent == self — a state
-      // the custody walk then forwards to itself.
-      if (ctx_->churn_aware && from != parent_) return;
-      // Idempotence guard: a transient tree inconsistency (an Attach
-      // crossing an Orphan mid-detach, with or without churn) can route a
-      // RootChanged back into a node that already holds it; re-forwarding
-      // identical state down a momentary parent cycle would loop forever.
-      if (static_cast<int>(m.root) == root_ && m.feature == stored_root_) {
-        return;
-      }
-      root_ = static_cast<int>(m.root);
-      stored_root_ = m.feature;
-      for (int child : children_) Send(child, m);
-      if (probing_) return;
-      if (Dist(feature_, stored_root_) > ctx_->config.delta + 1e-12) {
-        // The relabel (attach echo, or a subtree re-root racing our own
-        // update) put us out of range of the authoritative root feature:
-        // evict ourselves exactly as a Push carrying it would have.
-        StartDetach();
-      } else {
-        RebaseVerified();
-      }
-    });
-  }
+  explicit MaintNode(MaintContext* ctx)
+      : ProtocolNode(Handlers()), ctx_(ctx) {}
 
   // Deployment (driver, before any update).
   void Deploy(Feature feature, int root, int parent,
@@ -331,6 +155,193 @@ class MaintNode : public proto::ProtocolNode {
  private:
   static constexpr int kRetryTimer = 1;
   static constexpr int kVerifyTimer = 2;
+
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table = [] {
+      proto::HandlerTableFor<MaintNode> t;
+      t.On<w::FetchUp>([](MaintNode& n, int, const w::FetchUp& m) {
+        if (n.root_ == n.id()) {
+          w::RootFeature reply;
+          reply.feature = n.feature_;
+          n.SendRouted(static_cast<int>(m.origin), reply);
+        } else {
+          n.Send(n.parent_, m);
+        }
+      });
+      t.On<w::RootFeature>([](MaintNode& n, int, const w::RootFeature& m) {
+        if (m.feature.size() != n.feature_.size()) {
+          n.RejectBadFields<w::RootFeature>();
+          return;
+        }
+        n.stored_root_ = m.feature;
+        if (n.Dist(n.feature_, n.stored_root_) <=
+            n.ctx_->config.delta + 1e-12) {
+          n.verified_ = n.feature_;  // Still compatible: stay.
+        } else {
+          n.StartDetach();
+        }
+      });
+      t.On<w::Push>([](MaintNode& n, int from, const w::Push& m) {
+        if (m.feature.size() != n.feature_.size()) {
+          n.RejectBadFields<w::Push>();
+          return;
+        }
+        // Pushes flow down the tree; under churn, ignore one from anyone but
+        // the current parent (ex-parents race their own Leave/Orphan).
+        if (n.ctx_->churn_aware && from != n.parent_) return;
+        n.stored_root_ = m.feature;
+        if (n.Dist(n.feature_, n.stored_root_) > n.ctx_->config.delta + 1e-12) {
+          // Evicted by the root's drift; children are pushed first so they
+          // hold the fresh root feature when the orphan notice arrives.
+          n.ForwardPushToChildren(m);
+          n.StartDetach();
+        } else {
+          n.RebaseVerified();
+          n.ForwardPushToChildren(m);
+        }
+      });
+      t.On<w::Probe>([](MaintNode& n, int from, const w::Probe&) {
+        w::ProbeReply reply;
+        reply.root = n.root_;
+        reply.settled = n.probing_ ? 0 : 1;
+        reply.stored_root = n.stored_root_;
+        n.Send(from, reply);
+      });
+      t.On<w::ProbeReply>([](MaintNode& n, int from, const w::ProbeReply& m) {
+        if (m.stored_root.size() != n.feature_.size()) {
+          n.RejectBadFields<w::ProbeReply>();
+          return;
+        }
+        // Only the neighbor we are currently waiting on may answer; replies
+        // from an earlier scan (a probe restarted by churn, or a re-detach
+        // with the old reply still in flight) are stale and ignored.
+        if (from != n.pending_probe_target_) return;
+        n.OnProbeReply(from, static_cast<int>(m.root), m.settled != 0,
+                       m.stored_root);
+      });
+      t.On<w::Leave>([](MaintNode& n, int from, const w::Leave&) {
+        n.children_.erase(
+            std::remove(n.children_.begin(), n.children_.end(), from),
+            n.children_.end());
+      });
+      t.On<w::Attach>([](MaintNode& n, int from, const w::Attach&) {
+        n.children_.push_back(from);
+        if (n.ctx_->churn_aware) {
+          // Under churn the adopter may have restarted or re-rooted while the
+          // Attach was in flight; echo the authoritative root so the new
+          // child can never be left pointing into a stale tree.
+          w::RootChanged m;
+          m.root = n.root_;
+          m.feature = n.stored_root_;
+          n.Send(from, m);
+        }
+      });
+      t.On<w::EpochReport>([](MaintNode& n, int, const w::EpochReport& m) {
+        if (n.root_ == n.id()) {
+          // End of the custody chain: whatever root the walk reached is the
+          // origin's actual tree root.  A match means the adoption landed in
+          // a live tree (a membership change worth an epoch bump); the ack
+          // lets the origin compare and freshen its stored root feature.
+          if (static_cast<int>(m.root) == n.id()) n.BumpEpoch();
+          w::VerifyAck ack;
+          ack.root = n.id();
+          ack.seq = m.seq;
+          ack.feature = n.feature_;
+          n.SendRouted(static_cast<int>(m.origin), ack);
+          return;
+        }
+        if (m.ttl <= 0 || n.parent_ == n.id()) {
+          // Hop budget spent without reaching a root (the parent chain cycles
+          // among stale believers), or the chain hit a node that calls itself
+          // parentless while claiming a foreign root (a relabel landed
+          // mid-repair): either way the origin's claim is not backed by a
+          // live tree.
+          w::VerifyGone gone;
+          gone.seq = m.seq;
+          n.SendRouted(static_cast<int>(m.origin), gone);
+          return;
+        }
+        w::EpochReport fwd = m;
+        fwd.ttl = m.ttl - 1;
+        n.Send(n.parent_, fwd);
+      });
+      t.On<w::VerifyAck>([](MaintNode& n, int, const w::VerifyAck& m) {
+        if (m.feature.size() != n.feature_.size()) {
+          n.RejectBadFields<w::VerifyAck>();
+          return;
+        }
+        if (m.seq != n.verify_waiting_seq_) return;  // A superseded walk.
+        n.verify_waiting_seq_ = -1;
+        if (n.probing_ || n.root_ == n.id()) return;
+        if (static_cast<int>(m.root) != n.root_) {
+          // The chain ended at some other root: our claimed cluster no
+          // longer exists as a tree we belong to.
+          n.PurgeStale();
+          return;
+        }
+        n.stored_root_ = m.feature;
+        if (n.Dist(n.feature_, n.stored_root_) > n.ctx_->config.delta + 1e-12) {
+          n.StartDetach();
+        } else {
+          n.verified_ = n.feature_;
+        }
+      });
+      t.On<w::VerifyGone>([](MaintNode& n, int, const w::VerifyGone& m) {
+        if (m.seq != n.verify_waiting_seq_) return;
+        n.verify_waiting_seq_ = -1;
+        if (!n.probing_ && n.root_ != n.id()) n.PurgeStale();
+      });
+      t.On<w::Orphan>([](MaintNode& n, int from, const w::Orphan&) {
+        // Only the node we currently call parent may orphan us (churn only:
+        // an ex-parent's stale flatten must not dissolve the new subtree).
+        if (n.ctx_->churn_aware && from != n.parent_) return;
+        if (!n.probing_) {
+          // The parent departed.  Flatten: orphan our own subtree too (every
+          // probing node is then a leaf, which keeps adoption acyclic), and
+          // look for a new home, preferring the old cluster.
+          for (int child : n.children_) n.Send(child, w::Orphan{});
+          n.children_.clear();
+          n.reattach_mode_ = true;
+          n.old_root_ = n.root_;
+          n.StartProbing();
+        }
+      });
+      t.On<w::RootChanged>([](MaintNode& n, int from, const w::RootChanged& m) {
+        if (m.feature.size() != n.feature_.size()) {
+          n.RejectBadFields<w::RootChanged>();
+          return;
+        }
+        // Tree-authority guard (churn only): relabels travel strictly down
+        // the tree, so only the current parent may speak.  A stale copy from
+        // an ex-parent (its Leave still in flight) would otherwise relabel a
+        // detached singleton into root != self with parent == self — a state
+        // the custody walk then forwards to itself.
+        if (n.ctx_->churn_aware && from != n.parent_) return;
+        // Idempotence guard: a transient tree inconsistency (an Attach
+        // crossing an Orphan mid-detach, with or without churn) can route a
+        // RootChanged back into a node that already holds it; re-forwarding
+        // identical state down a momentary parent cycle would loop forever.
+        if (static_cast<int>(m.root) == n.root_ &&
+            m.feature == n.stored_root_) {
+          return;
+        }
+        n.root_ = static_cast<int>(m.root);
+        n.stored_root_ = m.feature;
+        for (int child : n.children_) n.Send(child, m);
+        if (n.probing_) return;
+        if (n.Dist(n.feature_, n.stored_root_) > n.ctx_->config.delta + 1e-12) {
+          // The relabel (attach echo, or a subtree re-root racing our own
+          // update) put us out of range of the authoritative root feature:
+          // evict ourselves exactly as a Push carrying it would have.
+          n.StartDetach();
+        } else {
+          n.RebaseVerified();
+        }
+      });
+      return t;
+    }();
+    return table;
+  }
 
   /// Id-staggered, deterministic (no RNG) retry delay: distinct per
   /// neighboring node, so two racing singletons never re-scan in lockstep.

@@ -56,35 +56,7 @@ struct PathContext {
 class PathNode : public proto::ProtocolNode {
  public:
   PathNode(const PathNodeState* state, PathContext* ctx)
-      : state_(state), ctx_(ctx) {
-    OnMsg<w::PathUp>([this](int, const w::PathUp& m) {
-      if (id() == state_->cluster_root) {
-        LeaderEntry();
-      } else {
-        Send(state_->tree_parent, m);
-      }
-    });
-    OnMsg<w::PathRoute>([this](int, const w::PathRoute& m) {
-      if (state_->is_backbone_root) {
-        StartVisit(/*reply_to=*/-1);
-      } else {
-        SendRouted(state_->backbone_parent, m);
-      }
-    });
-    OnMsg<w::PathVisit>([this](int, const w::PathVisit& m) {
-      StartVisit(static_cast<int>(m.sender));
-    });
-    OnMsg<w::PathDrill>(
-        [this](int from, const w::PathDrill&) { OnDrill(from); });
-    OnMsg<w::PathDrillDone>([this](int, const w::PathDrillDone&) {
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::PathVisitDone>([this](int, const w::PathVisitDone&) {
-      --pending_;
-      CheckDone();
-    });
-  }
+      : ProtocolNode(Handlers()), state_(state), ctx_(ctx) {}
 
   /// Driver entry point at the source node (before the event loop runs).
   void Inject() {
@@ -99,6 +71,42 @@ class PathNode : public proto::ProtocolNode {
   }
 
  private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table = [] {
+      proto::HandlerTableFor<PathNode> t;
+      t.On<w::PathUp>([](PathNode& n, int, const w::PathUp& m) {
+        if (n.id() == n.state_->cluster_root) {
+          n.LeaderEntry();
+        } else {
+          n.Send(n.state_->tree_parent, m);
+        }
+      });
+      t.On<w::PathRoute>([](PathNode& n, int, const w::PathRoute& m) {
+        if (n.state_->is_backbone_root) {
+          n.StartVisit(/*reply_to=*/-1);
+        } else {
+          n.SendRouted(n.state_->backbone_parent, m);
+        }
+      });
+      t.On<w::PathVisit>([](PathNode& n, int, const w::PathVisit& m) {
+        n.StartVisit(static_cast<int>(m.sender));
+      });
+      t.On<w::PathDrill>([](PathNode& n, int from, const w::PathDrill&) {
+        n.OnDrill(from);
+      });
+      t.On<w::PathDrillDone>([](PathNode& n, int, const w::PathDrillDone&) {
+        --n.pending_;
+        n.CheckDone();
+      });
+      t.On<w::PathVisitDone>([](PathNode& n, int, const w::PathVisitDone&) {
+        --n.pending_;
+        n.CheckDone();
+      });
+      return t;
+    }();
+    return table;
+  }
+
   double DangerDist(const Feature& f) const {
     return ctx_->metric->Distance(f, ctx_->danger);
   }

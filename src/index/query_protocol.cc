@@ -93,74 +93,13 @@ struct QueryContext {
 class QueryNode : public proto::ProtocolNode {
  public:
   QueryNode(const NodeState* state, const Feature* feature, QueryContext* ctx)
-      : state_(state), ctx_(ctx), feature_(feature) {
+      : ProtocolNode(Handlers()), state_(state), ctx_(ctx), feature_(feature) {
     if (ctx_->reliable) {
       // An exhausted retry budget needs no give-up callback here: the
       // destination (or a relay to it) is dead, and the waiting aggregation
       // point writes the subtree off at its deadline.
       EnableReliable(ctx_->reliable_cfg);
     }
-    OnMsg<w::Up>([this](int, const w::Up& m) {
-      if (id() == state_->cluster_root) {
-        ArrivedAtOwnRoot();
-      } else {
-        Send(state_->tree_parent, m);
-      }
-    });
-    OnMsg<w::ToBackboneRoot>([this](int, const w::ToBackboneRoot&) {
-      if (state_->is_backbone_root) {
-        StartVisit(/*reply_to=*/-1, ctx_->node_deadline);
-      } else {
-        ForwardToBackboneRoot();
-      }
-    });
-    OnMsg<w::Visit>([this](int, const w::Visit& m) {
-      // Routed messages deliver with `from` = the last relay hop; the
-      // logical sender rides in the schema (and its deadline budget when
-      // deadlines are configured).
-      StartVisit(/*reply_to=*/static_cast<int>(m.sender),
-                 m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
-    });
-    OnMsg<w::BackboneInclude>([this](int, const w::BackboneInclude& m) {
-      // Whole backbone subtree matches; answer with the cached population.
-      w::BackboneReply reply;
-      reply.count = SubtreePopulation();
-      reply.incomplete = 0;
-      SendRouted(static_cast<int>(m.sender), reply);
-    });
-    OnMsg<w::BackboneReply>([this](int, const w::BackboneReply& m) {
-      count_ += m.count;
-      incomplete_ += m.incomplete;
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::Descend>([this](int from, const w::Descend& m) {
-      OnDescend(from, m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
-    });
-    OnMsg<w::DescendInclude>([this](int from, const w::DescendInclude&) {
-      w::DescendReply reply;
-      reply.count = MTreePopulation();
-      reply.incomplete = 0;
-      Send(from, reply);
-    });
-    OnMsg<w::DescendReply>([this](int, const w::DescendReply& m) {
-      count_ += m.count;
-      incomplete_ += m.incomplete;
-      --pending_;
-      CheckDone();
-    });
-    OnMsg<w::Answer>([this](int, const w::Answer& m) {
-      if (id() == ctx_->initiator) {
-        ctx_->done = true;
-        ctx_->answer = m.count;
-        ctx_->answer_incomplete = m.incomplete;
-        ctx_->finish_time = network()->Now();
-        TracePhase("query.answer", ctx_->answer);
-      } else {
-        // The initiator's root relays the answer down to the initiator.
-        SendRouted(ctx_->initiator, m);
-      }
-    });
   }
 
   /// Injects the query at the initiator (driver call, before Run()).
@@ -189,6 +128,77 @@ class QueryNode : public proto::ProtocolNode {
   }
 
  private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table = [] {
+      proto::HandlerTableFor<QueryNode> t;
+      t.On<w::Up>([](QueryNode& n, int, const w::Up& m) {
+        if (n.id() == n.state_->cluster_root) {
+          n.ArrivedAtOwnRoot();
+        } else {
+          n.Send(n.state_->tree_parent, m);
+        }
+      });
+      t.On<w::ToBackboneRoot>([](QueryNode& n, int, const w::ToBackboneRoot&) {
+        if (n.state_->is_backbone_root) {
+          n.StartVisit(/*reply_to=*/-1, n.ctx_->node_deadline);
+        } else {
+          n.ForwardToBackboneRoot();
+        }
+      });
+      t.On<w::Visit>([](QueryNode& n, int, const w::Visit& m) {
+        // Routed messages deliver with `from` = the last relay hop; the
+        // logical sender rides in the schema (and its deadline budget when
+        // deadlines are configured).
+        n.StartVisit(/*reply_to=*/static_cast<int>(m.sender),
+                     m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
+      });
+      t.On<w::BackboneInclude>([](QueryNode& n, int,
+                                  const w::BackboneInclude& m) {
+        // Whole backbone subtree matches; answer with the cached population.
+        w::BackboneReply reply;
+        reply.count = n.SubtreePopulation();
+        reply.incomplete = 0;
+        n.SendRouted(static_cast<int>(m.sender), reply);
+      });
+      t.On<w::BackboneReply>([](QueryNode& n, int, const w::BackboneReply& m) {
+        n.count_ += m.count;
+        n.incomplete_ += m.incomplete;
+        --n.pending_;
+        n.CheckDone();
+      });
+      t.On<w::Descend>([](QueryNode& n, int from, const w::Descend& m) {
+        n.OnDescend(from, m.budget.has_value() ? DecodeBudget(*m.budget) : 0.0);
+      });
+      t.On<w::DescendInclude>([](QueryNode& n, int from,
+                                 const w::DescendInclude&) {
+        w::DescendReply reply;
+        reply.count = n.MTreePopulation();
+        reply.incomplete = 0;
+        n.Send(from, reply);
+      });
+      t.On<w::DescendReply>([](QueryNode& n, int, const w::DescendReply& m) {
+        n.count_ += m.count;
+        n.incomplete_ += m.incomplete;
+        --n.pending_;
+        n.CheckDone();
+      });
+      t.On<w::Answer>([](QueryNode& n, int, const w::Answer& m) {
+        if (n.id() == n.ctx_->initiator) {
+          n.ctx_->done = true;
+          n.ctx_->answer = m.count;
+          n.ctx_->answer_incomplete = m.incomplete;
+          n.ctx_->finish_time = n.network()->Now();
+          n.TracePhase("query.answer", n.ctx_->answer);
+        } else {
+          // The initiator's root relays the answer down to the initiator.
+          n.SendRouted(n.ctx_->initiator, m);
+        }
+      });
+      return t;
+    }();
+    return table;
+  }
+
   double Dist(const Feature& a, const Feature& b) const {
     return ctx_->metric->Distance(a, b);
   }

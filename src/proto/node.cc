@@ -49,16 +49,20 @@ void ProtocolNode::OnInstall() {
 }
 
 void ProtocolNode::DispatchMessage(int from, const Message& msg) {
-  if (msg.type >= 0 && msg.type < static_cast<int>(handlers_.size()) &&
-      handlers_[static_cast<size_t>(msg.type)]) {
-    handlers_[static_cast<size_t>(msg.type)](from, msg);
+  if (const HandlerTable::Thunk thunk = handlers_->Find(msg.type)) {
+    thunk(*this, from, msg);
     return;
   }
-  // No handler registered for this type: a corrupted or foreign frame.
+  // No handler for this type: a corrupted or foreign frame.
+  RejectFrame(from, msg,
+              Status::InvalidArgument("no handler for message type " +
+                                      std::to_string(msg.type)));
+}
+
+void ProtocolNode::RejectFrame(int from, const Message& msg,
+                               const Status& error) {
   network()->NoteDecodeError(id(), msg.category);
-  OnBadMessage(from, msg,
-               Status::InvalidArgument("no handler for message type " +
-                                       std::to_string(msg.type)));
+  OnBadMessage(from, msg, error);
 }
 
 }  // namespace proto

@@ -3,10 +3,13 @@
 // ProtocolNode extends sim's Node with the plumbing every protocol in this
 // repo used to hand-roll:
 //
-//  * typed handler registration — OnMsg<Schema>(handler) binds a decoder and
-//    a handler to the schema's message type; incoming frames are
-//    bounds-checked by proto::Decode before the handler runs, and malformed
-//    ones are counted in MessageStats::decode_errors instead of crashing;
+//  * typed dispatch — each node class has one immutable HandlerTable, built
+//    once in a function-local static and shared by all its nodes.  Entry t
+//    is a plain function pointer to a thunk that bounds-checks the frame
+//    with proto::Decode<M> and runs the class's captureless handler for
+//    schema M on the node; malformed frames, and frames of a type the table
+//    lacks, are counted in MessageStats::decode_errors and reported to
+//    OnBadMessage instead of crashing;
 //  * optional ReliableChannel integration — EnableReliable() attaches the
 //    ack/retransmit channel at install time and interposes it on every
 //    incoming message and timer, exactly as the hand-written protocols did;
@@ -15,12 +18,12 @@
 //  * harness hook — RunHarness binds an activity counter (for quiet-period
 //    completion detection).
 //
-// Subclasses register handlers in their constructor and override the
-// OnReady / OnProtocolTimer / OnGiveUp / OnBadMessage virtuals as needed.
+// Subclasses pass their table to the ProtocolNode constructor and override
+// the OnReady / OnProtocolTimer / OnGiveUp / OnBadMessage virtuals as needed.
 #ifndef ELINK_PROTO_NODE_H_
 #define ELINK_PROTO_NODE_H_
 
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,13 +34,51 @@
 namespace elink {
 namespace proto {
 
+class ProtocolNode;
 class RunHarness;
+
+/// \brief One node class's message dispatch table: a thunk per message type.
+/// Built with HandlerTableFor and never changed afterwards.
+class HandlerTable {
+ public:
+  /// Decodes `msg` for the type it is registered under and runs the class's
+  /// handler on `node`.
+  using Thunk = void (*)(ProtocolNode& node, int from, const Message& msg);
+
+  /// The thunk for message type `type`, or null when the class has none.
+  Thunk Find(int type) const {
+    return type >= 0 && static_cast<size_t>(type) < thunks_.size()
+               ? thunks_[static_cast<size_t>(type)]
+               : nullptr;
+  }
+
+ protected:
+  /// Registers `thunk` for `type`; a second thunk for one type fails its
+  /// check.
+  void Add(int type, Thunk thunk) {
+    ELINK_CHECK(type >= 0);
+    if (thunks_.size() <= static_cast<size_t>(type)) {
+      thunks_.resize(static_cast<size_t>(type) + 1, nullptr);
+    }
+    Thunk& slot = thunks_[static_cast<size_t>(type)];
+    ELINK_CHECK(slot == nullptr);
+    slot = thunk;
+  }
+
+ private:
+  std::vector<Thunk> thunks_;
+};
 
 /// \brief Base class for protocol logic built on the proto runtime.
 class ProtocolNode : public Node {
  public:
+  /// A node that dispatches through `handlers`, its class's table.  The
+  /// table must outlive the node (a function-local static does).
+  explicit ProtocolNode(const HandlerTable& handlers)
+      : handlers_(&handlers) {}
+
   // The runtime owns the sim entry points; protocol code plugs in through
-  // OnMsg registration and the virtuals below.
+  // its handler table and the virtuals below.
   void HandleMessage(int from, const Message& msg) final;
   void HandleTimer(int timer_id) final;
   void OnInstall() final;
@@ -90,29 +131,6 @@ class ProtocolNode : public Node {
     (void)from;
     (void)msg;
     (void)error;
-  }
-
-  /// Registers `handler` for schema M's message type.  Call from the
-  /// subclass constructor.  The handler receives the decoded schema;
-  /// malformed frames never reach it.
-  template <typename M, typename F>
-  void OnMsg(F handler) {
-    const int type = M::kType;
-    ELINK_CHECK(type >= 0);
-    if (static_cast<int>(handlers_.size()) <= type) {
-      handlers_.resize(static_cast<size_t>(type) + 1);
-    }
-    ELINK_CHECK(!handlers_[static_cast<size_t>(type)]);
-    handlers_[static_cast<size_t>(type)] =
-        [this, handler = std::move(handler)](int from, const Message& msg) {
-          Result<M> decoded = Decode<M>(msg);
-          if (!decoded.ok()) {
-            network()->NoteDecodeError(id(), msg.category);
-            OnBadMessage(from, msg, decoded.status());
-            return;
-          }
-          handler(from, *decoded);
-        };
   }
 
   /// Counts a delivered schema-M frame whose decoded fields fail
@@ -174,6 +192,8 @@ class ProtocolNode : public Node {
 
  private:
   friend class RunHarness;
+  template <typename NodeT>
+  friend class HandlerTableFor;
 
   /// Wires the harness's activity counter.  Must run before the node is
   /// installed (the harness's InstallNodes does).
@@ -181,12 +201,60 @@ class ProtocolNode : public Node {
 
   void DispatchMessage(int from, const Message& msg);
 
-  std::vector<std::function<void(int, const Message&)>> handlers_;
+  /// Counts an undecodable frame against its category and reports it to
+  /// OnBadMessage.
+  void RejectFrame(int from, const Message& msg, const Status& error);
+
+  /// The thunk HandlerTableFor<NodeT>::On<M> registers: decodes schema M,
+  /// then runs the captureless handler F on the node.
+  template <typename NodeT, typename M, typename F>
+  static void DecodeAndRun(ProtocolNode& node, int from, const Message& msg) {
+    Result<M> decoded = Decode<M>(msg);
+    if (!decoded.ok()) {
+      node.RejectFrame(from, msg, decoded.status());
+      return;
+    }
+    F{}(static_cast<NodeT&>(node), from, *decoded);
+  }
+
+  const HandlerTable* handlers_;
   ReliableChannel channel_;
   ReliableChannel::Config channel_config_;
   bool reliable_enabled_ = false;
   // Harness binding; null when the node runs outside a RunHarness.
   uint64_t* activity_ = nullptr;
+};
+
+/// \brief Builds node class NodeT's HandlerTable, once, in a function-local
+/// static that the class passes to the ProtocolNode constructor:
+///
+///   static const HandlerTable& Handlers() {
+///     static const HandlerTable table = [] {
+///       HandlerTableFor<QueryNode> t;
+///       t.On<w::Up>([](QueryNode& n, int from, const w::Up& m) { ... });
+///       t.On<w::Answer>(...);
+///       return t;
+///     }();
+///     return table;
+///   }
+///
+/// A handler reaches the node's private members through `n`: the lambda is
+/// written inside the class.
+template <typename NodeT>
+class HandlerTableFor : public HandlerTable {
+ public:
+  /// Registers `handler`, a captureless callable taking (NodeT&, int from,
+  /// const M&), for schema M's message type.  It receives the decoded
+  /// schema; malformed frames never reach it.
+  template <typename M, typename F>
+  HandlerTableFor& On(F /*handler*/) {
+    static_assert(std::is_empty_v<F> && std::is_default_constructible_v<F>,
+                  "a handler captures nothing: it reaches state through "
+                  "the node it is given");
+    static_assert(std::is_invocable_v<F, NodeT&, int, const M&>);
+    Add(M::kType, &ProtocolNode::DecodeAndRun<NodeT, M, F>);
+    return *this;
+  }
 };
 
 }  // namespace proto

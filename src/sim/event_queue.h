@@ -6,21 +6,28 @@
 //
 // Hot-path layout:
 //
-//  * Events are grouped into FIFO buckets by *distinct* timestamp.  The
-//    simulator's dominant regimes — synchronous unit hop delays, integer
-//    timer grids, the handful of distinct retransmission offsets — put many
-//    events on few distinct times, so both enqueue (append to an existing
-//    bucket) and dispatch (advance the bucket cursor) are O(1) there.
-//    Within a bucket, append order equals global schedule order, which *is*
-//    ascending sequence order, so the (time, seq) dispatch contract holds
-//    with no per-event sequence storage at all.
-//  * Distinct pending times live in an implicit 4-ary min-heap of 16-byte
-//    POD entries (timestamp as its IEEE-754 bit pattern, order-preserving
-//    for the non-negative times the queue admits, plus a bucket index).
-//    Heap sifts therefore move two machine words once per *distinct time*,
-//    never per event and never a callback.  Bucket lookup by timestamp is a
-//    flat open-addressing hash table sized to the live distinct times.
-//  * A bucket item is a 16-byte POD of three kinds.  The dominant simulator
+//  * The queue is a monotone radix heap over the timestamps' IEEE-754 bit
+//    patterns, which order exactly like the values for the non-negative
+//    times the queue admits (-0.0 is canonicalized to +0.0, NaN rejected by
+//    the time >= Now() check).  A pending event sits in slot
+//    bit_width(bits ^ bits(Now())): slot 0 holds the events at Now(), slot
+//    s > 0 those whose highest bit differing from Now() is bit s - 1.  The
+//    sign bit never differs, so 64 slots cover every time.  Enqueue is an
+//    XOR, a bit count and a vector append; there are no per-event sequence
+//    numbers and no comparisons.
+//  * Slot 0 is a FIFO read through a cursor.  When it runs dry, the lowest
+//    non-empty slot (found in an occupancy mask) holds the next timestamp:
+//    its minimum becomes Now(), and the slot is either swapped into slot 0
+//    whole, when all its events share that timestamp (every round of the
+//    synchronous regime), or redistributed in order into the lower slots.
+//    No event in a higher slot changes slot when Now() advances this way,
+//    so each event moves at most once per bit of its distance from Now().
+//  * Equal timestamps stay FIFO: events with one timestamp always share a
+//    slot, appends keep their schedule order, and a refill moves them in
+//    order into slots that were empty.  So (time, seq) dispatch holds with
+//    no sequence storage, and a capped drain resumes mid-timestamp at the
+//    cursor.
+//  * An item is a 16-byte POD of three kinds.  The dominant simulator
 //    events — message deliveries and protocol timers — are stored *inline*
 //    (endpoints plus a payload pointer / generation) and dispatched through
 //    a handler installed once by the Network: no closure is constructed,
@@ -29,14 +36,11 @@
 //    free list.  Dispatch moves the callback out of its slot and frees the
 //    slot before calling it, so a callback may schedule (and grow the
 //    vector) freely.
-//  * RunAll drains bucket-at-a-time: the front bucket is resolved once per
-//    distinct timestamp and its FIFO is swept in a tight loop — the
-//    bulk-synchronous fast path.  In synchronous-round mode every delivery
-//    of a round lands in one bucket, so a whole round dispatches with a
-//    single heap pop at its end and no per-event heap traffic.
 #ifndef ELINK_SIM_EVENT_QUEUE_H_
 #define ELINK_SIM_EVENT_QUEUE_H_
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -76,7 +80,7 @@ class EventQueue {
   /// Schedules `cb` to run `delay` from now (delay >= 0).
   void ScheduleAfter(double delay, Callback cb) {
     ELINK_CHECK(delay >= 0.0);
-    ScheduleAt(now_ + delay, std::move(cb));
+    ScheduleAt(Now() + delay, std::move(cb));
   }
 
   /// Schedules an inline delivery event: at `delay` from now the installed
@@ -84,7 +88,7 @@ class EventQueue {
   /// three words are the whole event.
   void ScheduleDeliveryAfter(double delay, int from, int to, void* payload) {
     ELINK_CHECK(delay >= 0.0);
-    Enqueue(TimeBits(now_ + delay),
+    Enqueue(TimeBits(Now() + delay),
             Item{(kKindDelivery << kKindShift) | static_cast<uint32_t>(from),
                  static_cast<uint32_t>(to),
                  reinterpret_cast<uint64_t>(payload)});
@@ -94,13 +98,17 @@ class EventQueue {
   void ScheduleTimerAfter(double delay, int node, int timer_id,
                           uint64_t aux) {
     ELINK_CHECK(delay >= 0.0);
-    Enqueue(TimeBits(now_ + delay),
+    Enqueue(TimeBits(Now() + delay),
             Item{(kKindTimer << kKindShift) | static_cast<uint32_t>(node),
                  static_cast<uint32_t>(timer_id), aux});
   }
 
   /// Current simulated time: the timestamp of the event dispatched last.
-  double Now() const { return now_; }
+  double Now() const {
+    double time;
+    std::memcpy(&time, &now_bits_, sizeof(time));
+    return time;
+  }
 
   bool Empty() const { return size_ == 0; }
   size_t Size() const { return size_; }
@@ -117,11 +125,10 @@ class EventQueue {
   uint64_t active_cause() const { return active_cause_; }
   void set_active_cause(uint64_t cause) { active_cause_ = cause; }
 
-  /// Runs events until the queue empties or `max_events` dispatches,
-  /// draining bucket-at-a-time (the bulk-synchronous fast path).  Resumable
-  /// mid-timestamp: a capped drain leaves the rest of the front bucket in
-  /// place, so splitting one drain into several is unobservable.  Returns
-  /// the number of events dispatched.
+  /// Runs events until the queue empties or `max_events` dispatches.
+  /// Resumable mid-timestamp: a capped drain leaves the rest of Now()'s
+  /// events in place behind the cursor, so splitting one drain into several
+  /// is unobservable.  Returns the number of events dispatched.
   uint64_t RunAll(uint64_t max_events = UINT64_MAX);
 
  private:
@@ -143,27 +150,10 @@ class EventQueue {
     uint64_t c;
   };
 
-  /// One distinct pending timestamp in the time heap.  `time_bits` is the
-  /// IEEE-754 pattern of the timestamp — for non-negative doubles (NaN
-  /// excluded; both enforced by the time >= Now() >= 0 check) the unsigned
-  /// bit patterns order exactly like the values.  Entries carry unique
-  /// times, so comparisons need no tie-break.
-  struct TimeEntry {
+  /// A pending item with its timestamp's bit pattern.
+  struct Entry {
     uint64_t time_bits;
-    uint32_t bucket;
-  };
-
-  /// FIFO of the items scheduled for one distinct timestamp.
-  struct Bucket {
-    std::vector<Item> items;
-    uint32_t cursor = 0;
-  };
-
-  /// Flat hash table entry mapping a live timestamp to its bucket.
-  struct TableEntry {
-    uint64_t time_bits;
-    uint32_t bucket;
-    uint8_t occupied;
+    Item item;
   };
 
   static uint64_t TimeBits(double time) {
@@ -175,50 +165,34 @@ class EventQueue {
     return bits;
   }
 
-  static double TimeFromBits(uint64_t bits) {
-    double time;
-    std::memcpy(&time, &bits, sizeof(time));
-    return time;
+  /// Appends an entry to its slot relative to Now().
+  void Push(const Entry& entry) {
+    const int slot = std::bit_width(entry.time_bits ^ now_bits_);
+    slots_[slot].push_back(entry);
+    occupied_ |= uint64_t{1} << slot;
   }
 
-  /// Appends `item` to the bucket for `time_bits`, creating the bucket (and
-  /// its time-heap entry) on first use of that timestamp.
-  void Enqueue(uint64_t time_bits, Item item);
+  void Enqueue(uint64_t time_bits, Item item) {
+    Push(Entry{time_bits, item});
+    ++size_;
+    if (size_ > peak_size_) peak_size_ = size_;
+  }
 
-  /// Returns the bucket id for `time_bits`, inserting a fresh bucket into
-  /// the hash table and the time heap on miss.
-  uint32_t BucketFor(uint64_t time_bits);
+  /// Advances Now() to the next pending timestamp and moves its events into
+  /// slot 0.  Slot 0 must be fully read and the queue non-empty.
+  void Refill();
 
   /// Dispatches one dequeued item (after all queue state is consistent).
   void Dispatch(const Item& item);
 
-  /// Retires the exhausted front bucket: recycles it, erases its timestamp,
-  /// pops the time heap.
-  void RetireFrontBucket(uint64_t time_bits, uint32_t bucket);
-
-  /// Removes `time_bits` from the hash table (backward-shift deletion).
-  void TableErase(uint64_t time_bits);
-
-  void GrowTable();
-
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-
-  // Implicit 4-ary heap of distinct times: children of i are 4i+1 .. 4i+4.
-  std::vector<TimeEntry> heap_;
-  std::vector<Bucket> buckets_;
-  std::vector<uint32_t> free_buckets_;
-  // timestamp -> bucket id; open addressing, linear probing, power-of-two.
-  std::vector<TableEntry> table_;
-  size_t table_used_ = 0;
-  // Single-entry memo of the last timestamp resolved by Enqueue.  In the
-  // synchronous regime every delivery scheduled during round k lands at
-  // k + 1, so consecutive enqueues hit one bucket and the memo replaces the
-  // hash probe with a single compare.  Invalidated when its timestamp
-  // retires (the bucket id may be recycled for a different time).  The
-  // initial value is a NaN bit pattern, which no schedulable time equals.
-  uint64_t memo_time_bits_ = ~0ULL;
-  uint32_t memo_bucket_ = 0;
+  // slots_[s] holds the pending events whose timestamp bits differ from
+  // now_bits_ first at bit s - 1; slots_[0] those at Now().
+  std::array<std::vector<Entry>, 64> slots_;
+  // Bit s set when slots_[s] may be non-empty (exact for s > 0).
+  uint64_t occupied_ = 0;
+  // Next unread entry of slots_[0].
+  size_t cursor_ = 0;
+  uint64_t now_bits_ = 0;  // +0.0
   // Pending generic callbacks by slot, recycled via a free list.
   std::vector<Callback> callbacks_;
   std::vector<uint32_t> free_callbacks_;
@@ -226,7 +200,6 @@ class EventQueue {
   TimerHandler on_timer_ = nullptr;
   void* handler_ctx_ = nullptr;
   uint64_t active_cause_ = 0;
-  double now_ = 0.0;
   size_t size_ = 0;
   size_t peak_size_ = 0;
 };

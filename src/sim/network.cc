@@ -511,7 +511,7 @@ uint64_t Network::Run(uint64_t max_events) {
   if (cp == nullptr) {
     dispatched = queue_.RunAll(max_events);
   } else {
-    // Chunked drain around the checkpoint: RunAll is resumable mid-bucket,
+    // Chunked drain around the checkpoint: RunAll is resumable mid-timestamp,
     // so splitting one drain into two is unobservable to the simulation.
     while (dispatched < max_events) {
       uint64_t budget = max_events - dispatched;

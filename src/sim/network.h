@@ -242,7 +242,7 @@ class Network {
   /// runs with and without an armed checkpoint are byte-identical.
   ///
   /// Armed Run calls drain in two RunAll chunks instead of one (RunAll is
-  /// resumable mid-bucket, so the split is unobservable); disarmed runs
+  /// resumable mid-timestamp, so the split is unobservable); disarmed runs
   /// pay one thread-local load per Run call and nothing per event.
   struct RunCheckpoint {
     /// Events still to dispatch before firing (UINT64_MAX: never fire —

@@ -47,6 +47,21 @@ void RlsEstimator::Observe(std::span<const double> x, double y) {
   // timeseries_test pins Observe to that Multiply/Dot/Scale chain bit for
   // bit, so no fingerprint moves.
   const size_t k = x.size();
+  if (k == 1) {
+    // The general body below with its one-term sums written out.  Each
+    // `0.0 +` is the sum's start value and stays: it changes the sign of a
+    // zero, and it keeps a build that contracts to FMA from fusing the
+    // product into the add that follows.  g feeds only products, where
+    // that sign cannot show, so it goes without.
+    double& p = p_(0, 0);
+    const double g = p * x[0];
+    const double denom = 1.0 + (0.0 + x[0] * g);
+    p -= g * g / denom;
+    const double innovation = (0.0 + x[0] * alpha_[0]) - y;
+    alpha_[0] -= 0.0 + p * (x[0] * innovation);
+    ++count_;
+    return;
+  }
   // g = P_{k-1} x
   for (size_t i = 0; i < k; ++i) {
     double s = 0.0;

@@ -741,6 +741,154 @@ TEST(TruncationInjectionTest, RangeQueryCountsErrorsAndFinishes) {
   EXPECT_GT(decode_errors, 0u);
 }
 
+// -- Per-class handler tables ------------------------------------------------
+
+namespace tablewire {
+struct Hello {
+  static constexpr int kType = 1;
+  static constexpr const char* kCategory = "table_hello";
+  long long value = 0;
+  template <class V>
+  void VisitFields(V& v) {
+    v.I64(value);
+  }
+};
+struct Bye {
+  static constexpr int kType = 2;
+  static constexpr const char* kCategory = "table_bye";
+  long long value = 0;
+  template <class V>
+  void VisitFields(V& v) {
+    v.I64(value);
+  }
+};
+}  // namespace tablewire
+
+/// What reached the nodes: handled frames as "class:schema:value", rejected
+/// ones as (message type, status code).
+struct TableLog {
+  std::vector<std::string> handled;
+  std::vector<std::pair<int, StatusCode>> bad;
+};
+
+class LoggingNode : public proto::ProtocolNode {
+ public:
+  LoggingNode(const proto::HandlerTable& handlers, TableLog* log)
+      : ProtocolNode(handlers), log_(log) {}
+
+  void Log(const char* what, long long value) {
+    log_->handled.push_back(what + std::to_string(value));
+  }
+
+ protected:
+  void OnBadMessage(int, const Message& msg, const Status& error) override {
+    log_->bad.emplace_back(msg.type, error.code());
+  }
+
+ private:
+  TableLog* log_;
+};
+
+/// Handles Hello only.
+class HelloNode : public LoggingNode {
+ public:
+  explicit HelloNode(TableLog* log) : LoggingNode(Handlers(), log) {}
+
+ private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table =
+        proto::HandlerTableFor<HelloNode>().On<tablewire::Hello>(
+            [](HelloNode& n, int, const tablewire::Hello& m) {
+              n.Log("hello-node:hello:", m.value);
+            });
+    return table;
+  }
+};
+
+/// Handles Hello (differently from HelloNode) and Bye.
+class ByeNode : public LoggingNode {
+ public:
+  explicit ByeNode(TableLog* log) : LoggingNode(Handlers(), log) {}
+
+ private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table = [] {
+      proto::HandlerTableFor<ByeNode> t;
+      t.On<tablewire::Hello>([](ByeNode& n, int, const tablewire::Hello& m) {
+        n.Log("bye-node:hello:", m.value);
+      });
+      t.On<tablewire::Bye>([](ByeNode& n, int, const tablewire::Bye& m) {
+        n.Log("bye-node:bye:", m.value);
+      });
+      return t;
+    }();
+    return table;
+  }
+};
+
+template <typename M>
+Message Frame(long long value) {
+  M m;
+  m.value = value;
+  return proto::Encode(m);
+}
+
+TEST(HandlerTableTest, MissingTypeAndTruncatedFrameAreDecodeErrors) {
+  Network net(MakeGridTopology(1, 2), Network::Config{});
+  TableLog log;
+  for (int id = 0; id < 2; ++id) {
+    net.InstallNode(id, std::make_unique<HelloNode>(&log));
+  }
+  // A Bye has no entry in HelloNode's table.
+  net.Send(0, 1, Frame<tablewire::Bye>(3));
+  // A Hello that lost its only field in flight.
+  Message truncated = Frame<tablewire::Hello>(4);
+  truncated.ints.clear();
+  net.Send(0, 1, truncated);
+  net.Send(0, 1, Frame<tablewire::Hello>(5));
+  net.Run();
+
+  EXPECT_EQ(net.stats().decode_errors(), 2u);
+  EXPECT_EQ(net.stats().decode_errors("table_bye"), 1u);
+  EXPECT_EQ(net.stats().decode_errors("table_hello"), 1u);
+  const std::vector<std::pair<int, StatusCode>> bad = {
+      {tablewire::Bye::kType, StatusCode::kInvalidArgument},
+      {tablewire::Hello::kType, StatusCode::kOutOfRange}};
+  EXPECT_EQ(log.bad, bad);
+  EXPECT_EQ(log.handled, std::vector<std::string>{"hello-node:hello:5"});
+}
+
+TEST(HandlerTableTest, TwoClassesInOneNetworkUseTheirOwnTables) {
+  Network net(MakeGridTopology(1, 2), Network::Config{});
+  TableLog log;
+  net.InstallNode(0, std::make_unique<HelloNode>(&log));
+  net.InstallNode(1, std::make_unique<ByeNode>(&log));
+  net.Send(0, 1, Frame<tablewire::Hello>(1));
+  net.Send(1, 0, Frame<tablewire::Hello>(2));
+  net.Send(0, 1, Frame<tablewire::Bye>(3));
+  net.Send(1, 0, Frame<tablewire::Bye>(4));
+  net.Run();
+
+  const std::vector<std::string> handled = {
+      "bye-node:hello:1", "hello-node:hello:2", "bye-node:bye:3"};
+  EXPECT_EQ(log.handled, handled);
+  // Only HelloNode's table lacks Bye.
+  const std::vector<std::pair<int, StatusCode>> bad = {
+      {tablewire::Bye::kType, StatusCode::kInvalidArgument}};
+  EXPECT_EQ(log.bad, bad);
+  EXPECT_EQ(net.stats().decode_errors("table_bye"), 1u);
+  EXPECT_EQ(net.stats().decode_errors(), 1u);
+}
+
+TEST(HandlerTableDeathTest, SecondHandlerForOneTypeFails) {
+  EXPECT_DEATH(
+      proto::HandlerTableFor<HelloNode>()
+          .On<tablewire::Hello>([](HelloNode&, int, const tablewire::Hello&) {})
+          .On<tablewire::Hello>(
+              [](HelloNode&, int, const tablewire::Hello&) {}),
+      "slot == nullptr");
+}
+
 // -- Delivery trace ordering (SimObserver::OnDeliver) ------------------------
 
 namespace tracewire {
@@ -763,15 +911,9 @@ struct Ping {
 /// retransmissions, and duplicate deliveries.
 class TracePingNode : public proto::ProtocolNode {
  public:
-  explicit TracePingNode(const ReliableChannel::Config& rel) {
+  explicit TracePingNode(const ReliableChannel::Config& rel)
+      : ProtocolNode(Handlers()) {
     EnableReliable(rel);
-    OnMsg<tracewire::Ping>([this](int from, const tracewire::Ping& m) {
-      if (m.ttl > 0) {
-        tracewire::Ping reply;
-        reply.ttl = m.ttl - 1;
-        Send(from, reply);
-      }
-    });
   }
 
  protected:
@@ -784,6 +926,20 @@ class TracePingNode : public proto::ProtocolNode {
     tracewire::Ping m;
     m.ttl = 2;
     for (int nb : network()->neighbors(id())) Send(nb, m);
+  }
+
+ private:
+  static const proto::HandlerTable& Handlers() {
+    static const proto::HandlerTable table =
+        proto::HandlerTableFor<TracePingNode>().On<tracewire::Ping>(
+            [](TracePingNode& n, int from, const tracewire::Ping& m) {
+              if (m.ttl > 0) {
+                tracewire::Ping reply;
+                reply.ttl = m.ttl - 1;
+                n.Send(from, reply);
+              }
+            });
+    return table;
   }
 };
 
@@ -870,7 +1026,7 @@ TEST(RunHarnessTraceTest, DeterministicOrderWithAcksAndDuplicates) {
 class WatchdogProbeNode : public proto::ProtocolNode {
  public:
   explicit WatchdogProbeNode(std::function<void()> on_timer = nullptr)
-      : on_timer_(std::move(on_timer)) {}
+      : ProtocolNode(NoHandlers()), on_timer_(std::move(on_timer)) {}
 
  protected:
   void OnProtocolTimer(int) override {
@@ -878,6 +1034,12 @@ class WatchdogProbeNode : public proto::ProtocolNode {
   }
 
  private:
+  // The probe receives no messages.
+  static const proto::HandlerTable& NoHandlers() {
+    static const proto::HandlerTable none{};
+    return none;
+  }
+
   std::function<void()> on_timer_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -129,7 +130,7 @@ TEST(EventQueueTest, PeakSizeTracksHighWater) {
 // Stress with heavy timestamp collisions and reschedules from inside
 // callbacks: the dispatch order must match a reference model that stably
 // sorts by time — i.e. exact (time, insertion-sequence) order.  Exercises
-// bucket reuse, hash-table growth and backward-shift deletion, and
+// whole-slot refills (all pending events of a slot at one time), and
 // same-time scheduling at Now() during dispatch.
 TEST(EventQueueTest, TieHeavyOrderMatchesStableSortModel) {
   EventQueue q;
@@ -181,51 +182,65 @@ TEST(EventQueueTest, TieHeavyOrderMatchesStableSortModel) {
 // queue through many small RunAll(k) calls that stop mid-timestamp (adding
 // events at exactly Now() between calls).  Dispatch order must still be
 // exact (time, insertion-sequence) order: the stable-sort model.
-TEST(EventQueueTest, MixedKindOrderMatchesStableSortModel) {
-  struct Model {
-    EventQueue q;
-    Rng rng{2024};
-    std::vector<std::pair<double, int>> scheduled;  // (time, id), seq order
-    std::vector<int> fired;
-    int next_id = 0;
+struct MixedKindModel {
+  using DelayDraw = double (*)(Rng& rng);
 
-    // Schedules one event of a random kind at `time`; a third of them
-    // schedule a follow-up at `time` itself or a little later.
-    void Schedule(double time) {
-      const int id = next_id++;
-      scheduled.emplace_back(time, id);
-      const double delay = time - q.Now();
-      switch (rng.UniformInt(3)) {
-        case 0:
-          q.ScheduleDeliveryAfter(delay, id, 0, this);
-          break;
-        case 1:
-          q.ScheduleTimerAfter(delay, id, 0, 0);
-          break;
-        default:
-          q.ScheduleAfter(delay, [this, id] { Fire(id); });
-          break;
-      }
-    }
-    void Fire(int id) {
-      fired.push_back(id);
-      if (next_id < 3000 && rng.UniformInt(3) == 0) {
-        Schedule(q.Now() + 0.5 * static_cast<double>(rng.UniformInt(3)));
-      }
-    }
-  };
-  Model m;
-  m.q.SetInlineHandlers(
-      [](void* ctx, int from, int, void*) {
-        static_cast<Model*>(ctx)->Fire(from);
-      },
-      [](void* ctx, int node, int, uint64_t) {
-        static_cast<Model*>(ctx)->Fire(node);
-      },
-      &m);
-  for (int i = 0; i < 600; ++i) {
-    m.Schedule(0.5 * static_cast<double>(m.rng.UniformInt(12)));
+  MixedKindModel(uint64_t seed, DelayDraw follow_up, int follow_up_one_in)
+      : rng(seed), follow_up(follow_up), follow_up_one_in(follow_up_one_in) {
+    q.SetInlineHandlers(
+        [](void* ctx, int from, int, void*) {
+          static_cast<MixedKindModel*>(ctx)->Fire(from);
+        },
+        [](void* ctx, int node, int, uint64_t) {
+          static_cast<MixedKindModel*>(ctx)->Fire(node);
+        },
+        this);
   }
+  // The queue's handlers and callbacks hold its address.
+  MixedKindModel(const MixedKindModel&) = delete;
+  MixedKindModel& operator=(const MixedKindModel&) = delete;
+
+  // Schedules one event of a random kind `delay` from now.
+  void Schedule(double delay) {
+    const int id = next_id++;
+    // The time the queue computes from the delay.
+    scheduled.emplace_back(q.Now() + delay, id);
+    switch (rng.UniformInt(3)) {
+      case 0:
+        q.ScheduleDeliveryAfter(delay, id, 0, this);
+        break;
+      case 1:
+        q.ScheduleTimerAfter(delay, id, 0, 0);
+        break;
+      default:
+        q.ScheduleAfter(delay, [this, id] { Fire(id); });
+        break;
+    }
+  }
+  // One fired event in `follow_up_one_in` schedules one more.
+  void Fire(int id) {
+    fired.push_back(id);
+    if (next_id < 3000 && rng.UniformInt(follow_up_one_in) == 0) {
+      Schedule(follow_up(rng));
+    }
+  }
+
+  EventQueue q;
+  Rng rng;
+  DelayDraw follow_up;
+  int follow_up_one_in;
+  std::vector<std::pair<double, int>> scheduled;  // (time, id), seq order
+  std::vector<int> fired;
+  int next_id = 0;
+};
+
+// Schedules 600 events with delays from `initial`, drains the model with
+// RunAll(k) for random k in 1..5, and checks the dispatch order.
+void CheckMixedKindOrder(uint64_t seed, MixedKindModel::DelayDraw initial,
+                         MixedKindModel::DelayDraw follow_up,
+                         int follow_up_one_in) {
+  MixedKindModel m(seed, follow_up, follow_up_one_in);
+  for (int i = 0; i < 600; ++i) m.Schedule(initial(m.rng));
   int drains = 0;
   while (!m.q.Empty()) {
     const uint64_t k = 1 + m.rng.UniformInt(5);
@@ -234,7 +249,7 @@ TEST(EventQueueTest, MixedKindOrderMatchesStableSortModel) {
     EXPECT_EQ(ran, m.fired.size() - before);
     EXPECT_LE(ran, k);
     ++drains;
-    if (drains % 7 == 0) m.Schedule(m.q.Now());
+    if (drains % 7 == 0) m.Schedule(0.0);
   }
   EXPECT_GT(drains, 200);
 
@@ -248,6 +263,38 @@ TEST(EventQueueTest, MixedKindOrderMatchesStableSortModel) {
   for (size_t i = 0; i < m.scheduled.size(); ++i) {
     ASSERT_EQ(m.fired[i], m.scheduled[i].second) << "at dispatch " << i;
   }
+}
+
+// The asynchronous regime (Section 5's U(0.5, 1.5) hop delays): nearly every
+// event gets a timestamp of its own.  Mixed in are dyadic delays 2^-k (down
+// to below half an ulp of Now(), so the time rounds to Now()), zeros of both
+// signs and jumps of about 10^6.
+double AsyncDelay(Rng& rng) {
+  switch (rng.UniformInt(20)) {
+    case 0:
+      return std::ldexp(1.0, -static_cast<int>(rng.UniformInt(48)));
+    case 1:
+      return 0.0;
+    case 2:
+      return -0.0;
+    case 3:
+      return 1e6 + rng.Uniform(0.0, 1.0);
+    default:
+      return rng.Uniform(0.5, 1.5);
+  }
+}
+
+TEST(EventQueueTest, MixedKindOrderMatchesStableSortModel) {
+  // Tie-heavy: a grid of twelve half-unit times, one fired event in three
+  // scheduling another up to a unit later.
+  CheckMixedKindOrder(
+      2024,
+      [](Rng& rng) { return 0.5 * static_cast<double>(rng.UniformInt(12)); },
+      [](Rng& rng) { return 0.5 * static_cast<double>(rng.UniformInt(3)); },
+      3);
+  // Asynchronous: every fired event schedules another until 3,000 exist,
+  // so about 600 distinct times stay pending.
+  CheckMixedKindOrder(7, &AsyncDelay, &AsyncDelay, 1);
 }
 
 TEST(TopologyTest, GridStructure) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <string>
@@ -268,15 +269,25 @@ void ObserveVia(int step, const Vector& x, double y, RlsEstimator* est) {
   FAIL() << "no braced shape for k = " << x.size();
 }
 
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+// Identical bit patterns, or NaN on both sides.  IEEE 754 leaves open which
+// NaN an operation on two NaNs returns, and the compiler orders the operands
+// of a product freely: an infinite regressor with a NaN response turns P
+// into the default NaN (inf / inf) and alpha into the product of it with the
+// response's NaN, whose sign then differs between Observe (either body) and
+// the reference chain.
+bool SameBitsOrNaN(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
 }
 
 // Runs RlsEstimator and the reference side by side.  EXPECT_DOUBLE_EQ would
-// forgive 4 ulps; Step demands identical bit patterns in alpha and P.
+// forgive 4 ulps; Step demands identical bit patterns in alpha and P (any
+// NaN matching any NaN).
 class RlsLockstep {
  public:
   explicit RlsLockstep(int k) : est_(k), ref_(est_) {}
+  explicit RlsLockstep(RlsEstimator start)
+      : est_(std::move(start)), ref_(est_) {}
 
   ::testing::AssertionResult Step(const Vector& x, double y) {
     ObserveVia(step_, x, y, &est_);
@@ -284,14 +295,14 @@ class RlsLockstep {
     ++step_;
     const size_t k = x.size();
     for (size_t i = 0; i < k; ++i) {
-      if (!SameBits(est_.coefficients()[i], ref_.coefficients()[i])) {
+      if (!SameBitsOrNaN(est_.coefficients()[i], ref_.coefficients()[i])) {
         return ::testing::AssertionFailure()
                << "alpha[" << i << "] differs after step " << step_ << ": "
                << Hex(est_.coefficients()[i]) << " vs reference "
                << Hex(ref_.coefficients()[i]);
       }
       for (size_t j = 0; j < k; ++j) {
-        if (!SameBits(est_.p()(i, j), ref_.p()(i, j))) {
+        if (!SameBitsOrNaN(est_.p()(i, j), ref_.p()(i, j))) {
           return ::testing::AssertionFailure()
                  << "P(" << i << "," << j << ") differs after step " << step_
                  << ": " << Hex(est_.p()(i, j)) << " vs reference "
@@ -357,6 +368,50 @@ TEST(RlsDiffTest, RandomRegressorsMatchBitForBit) {
         y += truth[j] * x[j];
       }
       ASSERT_TRUE(lock.Step(x, y)) << "k = " << k;
+    }
+  }
+}
+
+TEST(RlsDiffTest, SpecialValuesMatchBitForBit) {
+  // Signed zeros, subnormals, infinities and NaN as regressor and as
+  // response, each pair fed once between ordinary steps, from a cold start
+  // and from a FromBatch warm start: k = 1 runs Observe's one-regressor
+  // body, k = 2 the general one.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double subnormal = std::numeric_limits<double>::min() / 3.0;
+  const std::vector<double> specials = {
+      0.0, -0.0, tiny, -tiny, subnormal, -subnormal, 1.0, -2.5, 1e300,
+      inf, -inf, nan, -nan};
+  const Result<RlsEstimator> warm1 = RlsEstimator::FromBatch(
+      Matrix::FromRows({{0.5, -1.0, 2.0, 0.25}}), {0.3, -0.7, 1.1, 0.2});
+  const Result<RlsEstimator> warm2 = RlsEstimator::FromBatch(
+      Matrix::FromRows({{1, 2, 3, 4}, {1, -1, 2, 0}}), {1, 0, 2, 1});
+  ASSERT_TRUE(warm1.ok());
+  ASSERT_TRUE(warm2.ok());
+  for (int k : {1, 2}) {
+    for (bool warm : {false, true}) {
+      for (double sx : specials) {
+        for (double sy : specials) {
+          RlsLockstep lock = warm ? RlsLockstep(k == 1 ? warm1.value()
+                                                       : warm2.value())
+                                  : RlsLockstep(k);
+          Rng rng(31);
+          for (int t = 0; t < 7; ++t) {
+            Vector x(k);
+            for (double& v : x) v = rng.Uniform(-2.0, 2.0);
+            double y = rng.Uniform(-1.0, 1.0);
+            if (t == 3) {
+              x[0] = sx;
+              y = sy;
+            }
+            ASSERT_TRUE(lock.Step(x, y))
+                << "k = " << k << (warm ? ", warm" : ", cold") << ", x = "
+                << sx << ", y = " << sy;
+          }
+        }
+      }
     }
   }
 }
